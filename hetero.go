@@ -56,8 +56,9 @@ type (
 	Weighting = dag.Weighting
 	// Options configures a HeteroPrio run.
 	Options = core.Options
-	// Result is the outcome of a HeteroPrio run (final schedule, the
-	// no-spoliation schedule, first idle time, spoliation count).
+	// Result is the outcome of a HeteroPrio run (final schedule, first
+	// idle time, spoliation count). The no-spoliation schedule S_HP^NS is
+	// the Schedule of a run with Options.DisableSpoliation set.
 	Result = core.Result
 	// Ranking selects DualHP's intra-class ordering (fifo, avg, min).
 	Ranking = sched.Ranking

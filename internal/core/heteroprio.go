@@ -24,6 +24,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/obs"
@@ -83,13 +84,10 @@ func (o Options) eps() float64 {
 
 // Result is the outcome of a HeteroPrio run.
 type Result struct {
-	// Schedule is the final schedule S_HP, including aborted runs.
+	// Schedule is the final schedule S_HP, including aborted runs. With
+	// Options.DisableSpoliation it is S_HP^NS, the list schedule the
+	// paper's analysis compares S_HP against.
 	Schedule *sim.Schedule
-	// NoSpoliation is S_HP^NS, the list schedule the algorithm would build
-	// with spoliation disabled. It is computed alongside the main run for
-	// independent instances (the paper's analysis object) and nil for DAG
-	// runs.
-	NoSpoliation *sim.Schedule
 	// TFirstIdle is the first time any worker was idle while unfinished
 	// tasks remained; +Inf if no worker was ever idle before the end.
 	TFirstIdle float64
@@ -105,8 +103,25 @@ func (r Result) Makespan() float64 { return r.Schedule.Makespan() }
 // insertion order. GPU workers pop from the front, CPU workers from the
 // back. It is exported for reuse by custom policies and the real-time
 // executor (package runtime).
+//
+// The order is materialized lazily. Push appends the task and a compact
+// sort key in O(1); the first pop after a batch of pushes sorts the k
+// keys pushed since the previous pop in O(k log k) and merges them into
+// the ordered run in O(k + n) for n queued keys; pops then take the head
+// or the tail of the run in O(1). Filling the queue with n tasks and
+// draining it costs O(n log n) in total. Because keyBefore is a strict
+// total order (seq is unique), the pop sequence is the same as with an
+// insertion-ordered queue.
 type Queue struct {
-	items   []queueItem
+	// run holds the ordered keys; run[head:] are queued.
+	run  []queueKey
+	head int
+	// pend holds the keys pushed since the last pop, unordered.
+	pend []queueKey
+	// tasks holds the queued tasks at the slots their keys name; free
+	// lists the slots popped since the queue last emptied.
+	tasks   []platform.Task
+	free    []int32
 	usePrio bool
 	seq     int
 }
@@ -115,70 +130,164 @@ type Queue struct {
 // tie-break among equal acceleration factors.
 func NewQueue(usePrio bool) *Queue { return &Queue{usePrio: usePrio} }
 
-type queueItem struct {
-	task  platform.Task
-	accel float64
-	seq   int
+// newQueueCap returns an empty queue with room for n pushes before the
+// first pop, so filling it with a known batch never regrows its buffers.
+func newQueueCap(usePrio bool, n int) *Queue {
+	return &Queue{usePrio: usePrio, tasks: make([]platform.Task, 0, n), pend: make([]queueKey, 0, n)}
 }
 
-// before reports whether a precedes b in queue order (front first).
-func (q *Queue) before(a, b queueItem) bool {
+// queueKey is what the queue sorts: pointer-free, so moving keys costs no
+// write barriers, and 32 bytes against a platform.Task's 48.
+type queueKey struct {
+	accel float64
+	prio  float64
+	seq   int
+	slot  int32
+}
+
+// keyBefore reports whether a precedes b in queue order (front first);
+// usePrio applies the priority tie-break.
+func keyBefore(a, b queueKey, usePrio bool) bool {
 	if a.accel != b.accel {
 		return a.accel > b.accel
 	}
 	//hplint:allow floateq priorities are copied inputs, not derived floats; != only routes equal-priority pairs to the stable seq tie-break
-	if q.usePrio && a.task.Priority != b.task.Priority {
+	if usePrio && a.prio != b.prio {
 		if a.accel >= 1 {
-			return a.task.Priority > b.task.Priority
+			return a.prio > b.prio
 		}
-		return a.task.Priority < b.task.Priority
+		return a.prio < b.prio
 	}
 	return a.seq < b.seq
 }
 
 // Len returns the number of queued tasks.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return len(q.run) - q.head + len(q.pend) }
 
-// Push inserts t keeping the queue ordered; equal keys go after existing
-// ones (stability). The binary search is hand-rolled (sort.Search takes a
-// closure, and Push sits on the scheduling hot path where closure
-// captures are contraband).
+// Push queues t in O(1); the order is established at the next pop.
 //
 //hplint:hotpath
 func (q *Queue) Push(t platform.Task) {
-	it := queueItem{task: t, accel: t.Accel(), seq: q.seq}
-	q.seq++
-	lo, hi := 0, len(q.items)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q.before(it, q.items[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.tasks[slot] = t
+	} else {
+		slot = int32(len(q.tasks))
+		q.tasks = append(q.tasks, t) //hplint:allow allocflow amortized task-slot growth, bounded by the live ready-task count
 	}
-	i := lo
-	q.items = append(q.items, queueItem{}) //hplint:allow allocflow amortized ready-queue growth, bounded by the live ready-task count
-	copy(q.items[i+1:], q.items[i:])
-	q.items[i] = it
+	q.pend = append(q.pend, queueKey{accel: t.Accel(), prio: t.Priority, seq: q.seq, slot: slot}) //hplint:allow allocflow amortized pending-batch growth, bounded by the live ready-task count
+	q.seq++
 }
 
 // PopFront removes and returns the highest-acceleration task (GPU side).
 func (q *Queue) PopFront() platform.Task {
-	t := q.items[0].task
-	q.items = q.items[1:]
-	return t
+	if len(q.pend) > 0 {
+		q.flush()
+	}
+	slot := q.run[q.head].slot
+	q.head++
+	return q.take(slot)
 }
 
 // PopBack removes and returns the lowest-acceleration task (CPU side).
 func (q *Queue) PopBack() platform.Task {
-	t := q.items[len(q.items)-1].task
-	q.items = q.items[:len(q.items)-1]
+	if len(q.pend) > 0 {
+		q.flush()
+	}
+	last := len(q.run) - 1
+	slot := q.run[last].slot
+	q.run = q.run[:last]
+	return q.take(slot)
+}
+
+// take returns the task in slot, just unqueued, and frees the slot. The
+// pending batch is empty here, so an empty run means an empty queue and
+// every slot can be reused.
+func (q *Queue) take(slot int32) platform.Task {
+	t := q.tasks[slot]
+	if q.head == len(q.run) {
+		q.run, q.head = q.run[:0], 0
+		q.tasks, q.free = q.tasks[:0], q.free[:0]
+		return t
+	}
+	if len(q.free) == cap(q.free) {
+		// At most len(tasks)-1 slots are free while a task is queued, so
+		// sizing to the task slots makes this one allocation per growth
+		// of the slots, not one per doubling of the free list.
+		free := make([]int32, len(q.free), cap(q.tasks)) //hplint:allow allocflow free-slot list sized once per task-slot growth, bounded by the live ready-task count
+		copy(free, q.free)
+		q.free = free
+	}
+	q.free = append(q.free, slot) //hplint:allow allocflow never grows: the list has room for every task slot after the growth above
 	return t
 }
 
+// flush sorts the pending batch and merges it into the ordered run.
+func (q *Queue) flush() {
+	if q.usePrio {
+		slices.SortFunc(q.pend, compareKeysPrio)
+	} else {
+		slices.SortFunc(q.pend, compareKeys)
+	}
+	n, k := len(q.run)-q.head, len(q.pend)
+	if n == 0 {
+		// The sorted batch becomes the run; the old run's array becomes
+		// the next batch.
+		q.run, q.head, q.pend = q.pend, 0, q.run[:0]
+		return
+	}
+	if q.head+n+k > cap(q.run) {
+		if n+k <= cap(q.run)/2 {
+			// Most of the array is popped front space: slide down.
+			copy(q.run, q.run[q.head:])
+			q.run = q.run[:n]
+		} else {
+			run := make([]queueKey, n, 2*(n+k)) //hplint:allow allocflow amortized ordered-run growth, bounded by the live ready-task count
+			copy(run, q.run[q.head:])
+			q.run = run
+		}
+		q.head = 0
+	}
+	// Merge from the back, so each run key moves at most once and only
+	// the keys that order after the batch's first key move at all.
+	i := len(q.run) - 1
+	q.run = q.run[:len(q.run)+k]
+	for j, w := k-1, len(q.run)-1; j >= 0; w-- {
+		if i >= q.head && keyBefore(q.pend[j], q.run[i], q.usePrio) {
+			q.run[w] = q.run[i]
+			i--
+		} else {
+			q.run[w] = q.pend[j]
+			j--
+		}
+	}
+	q.pend = q.pend[:0]
+}
+
+// compareKeys and compareKeysPrio are keyBefore as the three-way
+// comparison slices.SortFunc takes, without and with the priority
+// tie-break; seq is unique, so only a key compared with itself is equal.
+// They are package functions, not closures over the queue, so sorting
+// allocates nothing.
+func compareKeys(a, b queueKey) int { return cmpKeys(a, b, false) }
+
+func compareKeysPrio(a, b queueKey) int { return cmpKeys(a, b, true) }
+
+func cmpKeys(a, b queueKey, usePrio bool) int {
+	switch {
+	case a.seq == b.seq:
+		return 0
+	case keyBefore(a, b, usePrio):
+		return -1
+	}
+	return 1
+}
+
 // ScheduleIndependent runs HeteroPrio (Algorithm 1) on a set of independent
-// tasks. The returned Result contains both S_HP and S_HP^NS.
+// tasks. S_HP^NS, the paper's no-spoliation analysis object, is the
+// schedule of the same call with Options.DisableSpoliation set.
 func ScheduleIndependent(in platform.Instance, pl platform.Platform, opt Options) (Result, error) {
 	if err := pl.Validate(); err != nil {
 		return Result{}, err
@@ -186,19 +295,7 @@ func ScheduleIndependent(in platform.Instance, pl platform.Platform, opt Options
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
-	res := runList(in, nil, pl, opt)
-	if !opt.DisableSpoliation {
-		nsOpt := opt
-		nsOpt.DisableSpoliation = true
-		// The S_HP^NS shadow run is an analysis object, not a live run:
-		// it must not double-emit events.
-		nsOpt.Observer = nil
-		ns := runList(in, nil, pl, nsOpt)
-		res.NoSpoliation = ns.Schedule
-	} else {
-		res.NoSpoliation = res.Schedule
-	}
-	return res, nil
+	return runList(in, nil, pl, opt), nil
 }
 
 // ScheduleDAG runs the DAG variant of HeteroPrio: at any instant the
@@ -440,7 +537,7 @@ func (s *listState) loop() {
 func runList(in platform.Instance, g *dag.Graph, pl platform.Platform, opt Options) Result {
 	s := &listState{
 		k:          sim.NewKernel(pl),
-		q:          NewQueue(opt.UsePriorities),
+		q:          newQueueCap(opt.UsePriorities, len(in)),
 		pl:         pl,
 		opt:        opt,
 		o:          opt.Observer,

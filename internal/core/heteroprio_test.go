@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bounds"
@@ -71,6 +72,34 @@ func TestScheduleIndependentValidatesInput(t *testing.T) {
 	}
 }
 
+// TestNaNPriorityRejected: a NaN priority would make two equal-rho tasks
+// each "not before" the other under UsePriorities, so the queue order
+// would depend on push history. Both entry points refuse it, naming the
+// task; infinite priorities still order and stay valid.
+func TestNaNPriorityRejected(t *testing.T) {
+	pl := platform.NewPlatform(1, 1)
+	bad := platform.Task{ID: 7, Name: "gemm", CPUTime: 2, GPUTime: 1, Priority: math.NaN()}
+	in := platform.Instance{task(0, 2, 1), bad}
+	_, err := ScheduleIndependent(in, pl, Options{UsePriorities: true})
+	if err == nil || !strings.Contains(err.Error(), "task 7 (gemm)") || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("ScheduleIndependent error = %v, want one naming task 7 (gemm) and its NaN priority", err)
+	}
+	g := dag.New()
+	a := g.AddTask(task(0, 2, 1))
+	b := g.AddTask(bad)
+	g.AddEdge(a, b)
+	_, err = ScheduleDAG(g, pl, Options{UsePriorities: true})
+	if err == nil || !strings.Contains(err.Error(), "task 1 (gemm)") || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("ScheduleDAG error = %v, want one naming task 1 (gemm) and its NaN priority", err)
+	}
+	for _, p := range []float64{math.Inf(1), math.Inf(-1)} {
+		ok := platform.Task{ID: 1, CPUTime: 2, GPUTime: 1, Priority: p}
+		if _, err := ScheduleIndependent(platform.Instance{task(0, 2, 1), ok}, pl, Options{UsePriorities: true}); err != nil {
+			t.Errorf("priority %v rejected: %v", p, err)
+		}
+	}
+}
+
 func TestEmptyInstance(t *testing.T) {
 	res, err := ScheduleIndependent(nil, platform.NewPlatform(1, 1), Options{})
 	if err != nil {
@@ -127,8 +156,12 @@ func TestSpoliationImprovesMakespan(t *testing.T) {
 	if res.Spoliations != 1 {
 		t.Errorf("spoliations = %d, want 1", res.Spoliations)
 	}
-	if ns := res.NoSpoliation.Makespan(); math.Abs(ns-10) > 1e-9 {
-		t.Errorf("S_HP^NS makespan = %v, want 10", ns)
+	ns, err := ScheduleIndependent(in, pl, Options{DisableSpoliation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(ns.Makespan()-10) > 1e-9 {
+		t.Errorf("S_HP^NS makespan = %v, want 10", ns.Makespan())
 	}
 	if res.TFirstIdle != 1 {
 		t.Errorf("TFirstIdle = %v, want 1", res.TFirstIdle)
@@ -154,9 +187,6 @@ func TestAblationSpoliationUnboundedGap(t *testing.T) {
 	}
 	if math.Abs(without.Makespan()-M) > 1e-9 {
 		t.Errorf("without spoliation makespan = %v, want %v", without.Makespan(), M)
-	}
-	if without.NoSpoliation != without.Schedule {
-		t.Error("disabled spoliation should reuse the same schedule as NS")
 	}
 }
 
@@ -234,14 +264,18 @@ func TestRandomIndependentInvariants(t *testing.T) {
 		if err := res.Schedule.Validate(in, nil); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := res.NoSpoliation.Validate(in, nil); err != nil {
+		ns, err := ScheduleIndependent(in, pl, Options{DisableSpoliation: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ns.Schedule.Validate(in, nil); err != nil {
 			t.Fatalf("trial %d NS: %v", trial, err)
 		}
 		checkSpoliationLemmas(t, res.Schedule)
 		// Spoliation can only help.
-		if res.Makespan() > res.NoSpoliation.Makespan()+1e-9 {
+		if res.Makespan() > ns.Makespan()+1e-9 {
 			t.Fatalf("trial %d: spoliation worsened makespan %v -> %v",
-				trial, res.NoSpoliation.Makespan(), res.Makespan())
+				trial, ns.Makespan(), res.Makespan())
 		}
 		// Lemma 3 corollary: T_FirstIdle <= AreaBound(I).
 		ab, err := bounds.AreaBound(in, pl)

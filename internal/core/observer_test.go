@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/obs"
@@ -126,6 +127,11 @@ func checkCounts(t *testing.T, c *countingObserver, tasks, spoliations int) {
 // with a no-op Observer must allocate exactly as much as with the hooks
 // disabled — the emission sites pass only values and are branch-guarded.
 func TestObserverNopZeroAlloc(t *testing.T) {
+	// A garbage collection during the measurement wakes runtime goroutines
+	// (the unique package's map cleanup) that allocate, and AllocsPerRun
+	// counts every goroutine's allocations; with collection off the counts
+	// are the scheduler's alone.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	pl := platform.NewPlatform(20, 4)
 	rng := rand.New(rand.NewSource(3))
 	in := workloads.UniformInstance(1000, 1, 100, 0.2, 40, rng)

@@ -61,14 +61,8 @@ func ScheduleOnline(tasks []ReleasedTask, pl platform.Platform, opt Options) (Re
 
 	trySpoliate := func(w int) bool {
 		kind := pl.KindOf(w)
-		victims := k.RunningOn(kind.Other())
-		sort.Slice(victims, func(i, j int) bool {
-			a, b := victims[i], victims[j]
-			if a.EstEnd != b.EstEnd {
-				return a.EstEnd > b.EstEnd
-			}
-			return a.Task.ID < b.Task.ID
-		})
+		victims := k.RunningOnShared(kind.Other())
+		sortVictims(victims)
 		for _, v := range victims {
 			newEnd := k.Now + v.Task.Time(kind)
 			if newEnd < v.EstEnd-eps {
@@ -88,7 +82,7 @@ func ScheduleOnline(tasks []ReleasedTask, pl platform.Platform, opt Options) (Re
 	assign := func() {
 		for {
 			changed := false
-			for _, w := range k.IdleWorkers(platform.GPU) {
+			for _, w := range k.IdleWorkersShared(platform.GPU) {
 				if q.Len() == 0 {
 					break
 				}
@@ -99,7 +93,7 @@ func ScheduleOnline(tasks []ReleasedTask, pl platform.Platform, opt Options) (Re
 					o.TaskStarted(k.Now, w, platform.GPU, t, k.Now+t.Time(platform.GPU), false)
 				}
 			}
-			for _, w := range k.IdleWorkers(platform.CPU) {
+			for _, w := range k.IdleWorkersShared(platform.CPU) {
 				if q.Len() == 0 {
 					break
 				}
@@ -111,8 +105,8 @@ func ScheduleOnline(tasks []ReleasedTask, pl platform.Platform, opt Options) (Re
 				}
 			}
 			if q.Len() == 0 && !opt.DisableSpoliation {
-				for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
-					for _, w := range k.IdleWorkers(kind) {
+				for _, kind := range kindOrder {
+					for _, w := range k.IdleWorkersShared(kind) {
 						if trySpoliate(w) {
 							changed = true
 						}

@@ -8,30 +8,70 @@ import (
 	"repro/internal/platform"
 )
 
+// onlineInstance draws the instance of one property trial from its own
+// seed: up to 20 tasks with integer times 1-8 and integer priorities 0-3
+// on up to 4+3 workers, so equal expected completions (spoliation victim
+// ties) and equal acceleration factors (queue ties) are common.
+func onlineInstance(seed int64) (platform.Instance, platform.Platform) {
+	rng := rand.New(rand.NewSource(seed))
+	pl := platform.NewPlatform(1+rng.Intn(4), 1+rng.Intn(3))
+	in := make(platform.Instance, 1+rng.Intn(20))
+	for i := range in {
+		in[i] = platform.Task{
+			ID:       i,
+			CPUTime:  float64(1 + rng.Intn(8)),
+			GPUTime:  float64(1 + rng.Intn(8)),
+			Priority: float64(rng.Intn(4)),
+		}
+	}
+	return in, pl
+}
+
+// onlineDriftSeed draws an instance on which two spoliation victims end at
+// the same instant with different priorities. ScheduleOnline diverged from
+// ScheduleIndependent on it (and on seed 149 of the sweep below) while it
+// ordered victims by completion time and ID only, skipping victimBefore's
+// priority tie-break.
+const onlineDriftSeed = 528
+
+// TestScheduleOnlineNoReleasesMatchesIndependent: with every release at
+// 0 the online loop knows the whole instance from the start, so it must
+// build ScheduleIndependent's schedule entry for entry, with and without
+// the queue's priority tie-break.
 func TestScheduleOnlineNoReleasesMatchesIndependent(t *testing.T) {
-	in := platform.Instance{
-		task(0, 10, 1),
-		task(1, 10, 2),
-		task(2, 1, 5),
+	seeds := []int64{onlineDriftSeed}
+	for s := int64(1); s <= 300; s++ {
+		seeds = append(seeds, s)
 	}
-	pl := platform.NewPlatform(1, 1)
-	var rel []ReleasedTask
-	for _, tk := range in {
-		rel = append(rel, ReleasedTask{Task: tk})
-	}
-	online, err := ScheduleOnline(rel, pl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offline, err := ScheduleIndependent(in, pl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(online.Makespan()-offline.Makespan()) > 1e-9 {
-		t.Errorf("online %v != offline %v with zero releases", online.Makespan(), offline.Makespan())
-	}
-	if err := online.Schedule.Validate(in, nil); err != nil {
-		t.Fatal(err)
+	for _, seed := range seeds {
+		in, pl := onlineInstance(seed)
+		rel := make([]ReleasedTask, len(in))
+		for i, tk := range in {
+			rel[i] = ReleasedTask{Task: tk}
+		}
+		for _, opt := range []Options{{}, {UsePriorities: true}} {
+			online, err := ScheduleOnline(rel, pl, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offline, err := ScheduleIndependent(in, pl, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := online.Schedule.Validate(in, nil); err != nil {
+				t.Fatalf("seed %d priorities=%v: %v", seed, opt.UsePriorities, err)
+			}
+			got, want := online.Schedule.Entries, offline.Schedule.Entries
+			for i := 0; i < len(got) && i < len(want); i++ {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d priorities=%v: entry %d online %+v, offline %+v", seed, opt.UsePriorities, i, got[i], want[i])
+				}
+			}
+			if len(got) != len(want) || online.Spoliations != offline.Spoliations || online.TFirstIdle != offline.TFirstIdle {
+				t.Fatalf("seed %d priorities=%v: online %d entries, %d spoliations, first idle %v; offline %d, %d, %v",
+					seed, opt.UsePriorities, len(got), online.Spoliations, online.TFirstIdle, len(want), offline.Spoliations, offline.TFirstIdle)
+			}
+		}
 	}
 }
 

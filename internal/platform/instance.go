@@ -12,16 +12,28 @@ import (
 type Instance []Task
 
 // Validate checks that every task is well-formed and that IDs are unique.
+// IDs in [0, len(in)), the usual numbering, are checked against a flat
+// table, so validating them allocates the same amount on every call;
+// other IDs fall back to a map.
 func (in Instance) Validate() error {
-	seen := make(map[int]bool, len(in))
+	dense := make([]bool, len(in))
+	var sparse map[int]bool
 	for _, t := range in {
 		if err := t.Validate(); err != nil {
 			return err
 		}
-		if seen[t.ID] {
+		var dup bool
+		if uint(t.ID) < uint(len(dense)) {
+			dup, dense[t.ID] = dense[t.ID], true
+		} else {
+			if sparse == nil {
+				sparse = make(map[int]bool)
+			}
+			dup, sparse[t.ID] = sparse[t.ID], true
+		}
+		if dup {
 			return fmt.Errorf("platform: duplicate task ID %d", t.ID)
 		}
-		seen[t.ID] = true
 	}
 	return nil
 }

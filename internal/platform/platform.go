@@ -98,13 +98,18 @@ func (t Task) BestKind() Kind {
 }
 
 // Validate reports an error if the task has non-positive or non-finite
-// processing times.
+// processing times, or a NaN priority. A NaN priority compares unordered
+// with every other, so priority tie-breaks would stop being a total order;
+// infinite priorities still order and are accepted.
 func (t Task) Validate() error {
 	if !(t.CPUTime > 0) || math.IsInf(t.CPUTime, 0) || math.IsNaN(t.CPUTime) {
 		return fmt.Errorf("platform: task %d (%s): CPU time %v is not a positive finite number", t.ID, t.Name, t.CPUTime)
 	}
 	if !(t.GPUTime > 0) || math.IsInf(t.GPUTime, 0) || math.IsNaN(t.GPUTime) {
 		return fmt.Errorf("platform: task %d (%s): GPU time %v is not a positive finite number", t.ID, t.Name, t.GPUTime)
+	}
+	if math.IsNaN(t.Priority) {
+		return fmt.Errorf("platform: task %d (%s): priority is NaN", t.ID, t.Name)
 	}
 	return nil
 }

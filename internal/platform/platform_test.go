@@ -68,6 +68,9 @@ func TestTaskValidate(t *testing.T) {
 		{"negative gpu", Task{CPUTime: 1, GPUTime: -2}, false},
 		{"nan", Task{CPUTime: math.NaN(), GPUTime: 1}, false},
 		{"inf", Task{CPUTime: 1, GPUTime: math.Inf(1)}, false},
+		{"nan priority", Task{CPUTime: 1, GPUTime: 1, Priority: math.NaN()}, false},
+		{"+inf priority", Task{CPUTime: 1, GPUTime: 1, Priority: math.Inf(1)}, true},
+		{"-inf priority", Task{CPUTime: 1, GPUTime: 1, Priority: math.Inf(-1)}, true},
 	}
 	for _, c := range cases {
 		err := c.task.Validate()
@@ -158,6 +161,17 @@ func TestInstanceValidate(t *testing.T) {
 	}
 	if err := dup.Validate(); err == nil {
 		t.Error("duplicate IDs should fail validation")
+	}
+	// IDs outside [0, len) take the map path.
+	sparse := Instance{{ID: 7, CPUTime: 1, GPUTime: 1}, {ID: -3, CPUTime: 1, GPUTime: 1}, {ID: 1, CPUTime: 1, GPUTime: 1}}
+	if err := sparse.Validate(); err != nil {
+		t.Errorf("valid sparse IDs rejected: %v", err)
+	}
+	for _, id := range []int{7, -3} {
+		d := append(sparse.Clone(), Task{ID: id, CPUTime: 1, GPUTime: 1})
+		if err := d.Validate(); err == nil {
+			t.Errorf("duplicate sparse ID %d should fail validation", id)
+		}
 	}
 	bad := Instance{{ID: 0, CPUTime: -1, GPUTime: 1}}
 	if err := bad.Validate(); err == nil {
