@@ -233,6 +233,25 @@ func BenchmarkScheduleDAGCholesky(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleDAGWide measures one HeteroPrio-min schedule of QR
+// N=16 on 480+64, the widest dag-wide platform: the benchgate's probe for
+// per-decision costs that grow with the worker count, such as a victim
+// sort per idle worker or a completion scan per event.
+func BenchmarkScheduleDAGWide(b *testing.B) {
+	g := workloads.QR(16)
+	pl := platform.NewPlatform(480, 64)
+	if _, err := g.AssignBottomLevelPriorities(dag.WeightMin, pl); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.ScheduleDAG(g, pl, core.Options{UsePriorities: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScheduleIndependentScaling fans 16 independent-instance cells
 // across engine pools of growing width. On a multi-core runner the
 // ns/op should drop as workers are added; the benchgate tracks the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/workloads"
 )
@@ -71,6 +72,31 @@ func BenchmarkScheduleDAGCholeskySize(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ScheduleDAG(g, pl, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.Len()), "ns/task")
+		})
+	}
+}
+
+// BenchmarkScheduleDAGWidth measures the DAG event loop per task on QR
+// N=16 (1496 tasks) from 24 to 1024 workers, with min bottom-level
+// priorities assigned outside the timed loop: the paper's low-overhead
+// claim holds if ns/task stays roughly flat as the platform widens.
+func BenchmarkScheduleDAGWidth(b *testing.B) {
+	for _, pl := range []platform.Platform{
+		platform.NewPlatform(20, 4), platform.NewPlatform(120, 24),
+		platform.NewPlatform(480, 64), platform.NewPlatform(896, 128),
+	} {
+		b.Run(fmt.Sprintf("workers=%d", pl.Workers()), func(b *testing.B) {
+			g := workloads.QR(16)
+			if _, err := g.AssignBottomLevelPriorities(dag.WeightMin, pl); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ScheduleDAG(g, pl, Options{UsePriorities: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

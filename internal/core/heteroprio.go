@@ -361,8 +361,9 @@ func (s *listState) startDuration(t platform.Task, kind platform.Kind) float64 {
 // victimBefore orders spoliation candidates: decreasing expected
 // completion time, ties by higher priority, then by smaller task ID
 // (deterministic, and the lever used by the adversarial worst-case
-// instances).
-func victimBefore(a, b sim.Running) bool {
+// instances). Running task IDs are unique, so the order is strict and
+// total over any candidate set.
+func victimBefore(a, b *sim.Running) bool {
 	if a.EstEnd != b.EstEnd {
 		return a.EstEnd > b.EstEnd
 	}
@@ -372,16 +373,26 @@ func victimBefore(a, b sim.Running) bool {
 	return a.Task.ID < b.Task.ID
 }
 
-// sortVictims is an in-place insertion sort. The candidate set is small
-// (at most the worker count of one class) and sort.Slice would box the
-// slice and build a reflect-based swapper on every call — a measured 25%
-// of the event loop's allocations before this existed.
-func sortVictims(v []sim.Running) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && victimBefore(v[j], v[j-1]); j-- {
-			v[j], v[j-1] = v[j-1], v[j]
+// pickVictim returns the index in victims of the run an idle worker of
+// class kind spoliates at time now, or -1 if there is none. A candidate
+// qualifies if the worker would finish it more than eps before its
+// expected completion EstEnd (the completion time the scheduler believes
+// in: with perfect estimates it equals the true End; under estimation
+// noise the true End is not observable). Among the qualifying runs the
+// first in victimBefore order wins. Because that order is strict and
+// total, one pass picks exactly the run that sorting the candidates and
+// taking the first qualifying one would.
+//
+//hplint:hotpath
+func pickVictim(victims []sim.Running, now float64, kind platform.Kind, eps float64) int {
+	best := -1
+	for i := range victims {
+		v := &victims[i]
+		if now+v.Task.Time(kind) < v.EstEnd-eps && (best < 0 || victimBefore(v, &victims[best])) {
+			best = i
 		}
 	}
+	return best
 }
 
 // trySpoliate attempts a spoliation for idle worker w (queue known
@@ -391,28 +402,19 @@ func sortVictims(v []sim.Running) {
 func (s *listState) trySpoliate(w int) bool {
 	kind := s.pl.KindOf(w)
 	victims := s.k.RunningOnShared(kind.Other())
-	if len(victims) == 0 {
+	i := pickVictim(victims, s.k.Now, kind, s.eps)
+	if i < 0 {
 		return false
 	}
-	// Decisions use EstEnd, the completion time the scheduler believes
-	// in: with perfect estimates it equals the true End; under
-	// estimation noise the true End is not observable. The shared victim
-	// buffer is the kernel's scratch; sorting it in place is sanctioned.
-	sortVictims(victims)
-	for _, v := range victims {
-		newEnd := s.k.Now + v.Task.Time(kind)
-		if newEnd < v.EstEnd-s.eps {
-			s.k.Abort(v.Worker)
-			s.k.StartTimed(w, v.Task, s.startDuration(v.Task, kind), true)
-			s.spoliations++
-			if s.o != nil {
-				s.o.TaskSpoliated(s.k.Now, v.Worker, w, v.Task, s.k.Now-v.Start)
-				s.o.TaskStarted(s.k.Now, w, kind, v.Task, newEnd, true)
-			}
-			return true
-		}
+	v := victims[i]
+	s.k.Abort(v.Worker)
+	s.k.StartTimed(w, v.Task, s.startDuration(v.Task, kind), true)
+	s.spoliations++
+	if s.o != nil {
+		s.o.TaskSpoliated(s.k.Now, v.Worker, w, v.Task, s.k.Now-v.Start)
+		s.o.TaskStarted(s.k.Now, w, kind, v.Task, s.k.Now+v.Task.Time(kind), true)
 	}
-	return false
+	return true
 }
 
 // assign fills idle workers from the queue and, once the queue is
@@ -445,11 +447,16 @@ func (s *listState) assign() {
 			}
 		}
 		if s.q.Len() == 0 && !s.opt.DisableSpoliation {
+			// Whether an attempt finds a victim depends only on the
+			// worker's class, Now and the other class's runs, and a
+			// failed attempt changes none of them: after the first
+			// failure every later idle worker of the class fails too.
 			for _, kind := range kindOrder {
 				for _, w := range s.k.IdleWorkersShared(kind) {
-					if s.trySpoliate(w) {
-						changed = true
+					if !s.trySpoliate(w) {
+						break
 					}
+					changed = true
 				}
 			}
 		}

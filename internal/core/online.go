@@ -62,21 +62,19 @@ func ScheduleOnline(tasks []ReleasedTask, pl platform.Platform, opt Options) (Re
 	trySpoliate := func(w int) bool {
 		kind := pl.KindOf(w)
 		victims := k.RunningOnShared(kind.Other())
-		sortVictims(victims)
-		for _, v := range victims {
-			newEnd := k.Now + v.Task.Time(kind)
-			if newEnd < v.EstEnd-eps {
-				k.Abort(v.Worker)
-				k.StartTimed(w, v.Task, opt.actual(v.Task, kind), true)
-				spoliations++
-				if o != nil {
-					o.TaskSpoliated(k.Now, v.Worker, w, v.Task, k.Now-v.Start)
-					o.TaskStarted(k.Now, w, kind, v.Task, newEnd, true)
-				}
-				return true
-			}
+		i := pickVictim(victims, k.Now, kind, eps)
+		if i < 0 {
+			return false
 		}
-		return false
+		v := victims[i]
+		k.Abort(v.Worker)
+		k.StartTimed(w, v.Task, opt.actual(v.Task, kind), true)
+		spoliations++
+		if o != nil {
+			o.TaskSpoliated(k.Now, v.Worker, w, v.Task, k.Now-v.Start)
+			o.TaskStarted(k.Now, w, kind, v.Task, k.Now+v.Task.Time(kind), true)
+		}
+		return true
 	}
 
 	assign := func() {
@@ -105,11 +103,14 @@ func ScheduleOnline(tasks []ReleasedTask, pl platform.Platform, opt Options) (Re
 				}
 			}
 			if q.Len() == 0 && !opt.DisableSpoliation {
+				// Stop a class at its first failed attempt, as runList's
+				// assign does.
 				for _, kind := range kindOrder {
 					for _, w := range k.IdleWorkersShared(kind) {
-						if trySpoliate(w) {
-							changed = true
+						if !trySpoliate(w) {
+							break
 						}
+						changed = true
 					}
 				}
 			}

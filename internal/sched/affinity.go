@@ -68,7 +68,7 @@ func AffinityIndependent(in platform.Instance, pl platform.Platform) (*sim.Sched
 	last := make([]string, pl.Workers())
 	assign := func() {
 		for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
-			for _, w := range k.IdleWorkers(kind) {
+			for _, w := range k.IdleWorkersShared(kind) {
 				if dq.empty() {
 					return
 				}

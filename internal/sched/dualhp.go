@@ -296,7 +296,7 @@ func DualHPDAGTimed(g *dag.Graph, pl platform.Platform, rank Ranking, actual fun
 
 	assignWorkers := func() {
 		for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
-			for _, w := range k.IdleWorkers(kind) {
+			for _, w := range k.IdleWorkersShared(kind) {
 				t, ok := pick(kind)
 				if !ok {
 					break

@@ -128,7 +128,7 @@ func runOnlineList(g *dag.Graph, pl platform.Platform,
 	admit(rt.Drain())
 	for {
 		for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
-			for _, w := range k.IdleWorkers(kind) {
+			for _, w := range k.IdleWorkersShared(kind) {
 				t, ok := pick(w, kind)
 				if !ok {
 					break

@@ -39,6 +39,16 @@ type Kernel struct {
 	sched *Schedule
 	nBusy int
 
+	// heap is an indexed binary min-heap of the busy workers whose run
+	// ends before +Inf, ordered by (End, worker index): heap[:nHeap] are
+	// its nodes and pos[w] is worker w's node while it is in the heap.
+	// The root is the next completion, with the smallest index first
+	// among equal ends. A run that never ends before +Inf (an End that
+	// overflowed, or NaN) stays out of the heap and never completes.
+	heap  []int
+	pos   []int
+	nHeap int
+
 	// Scratch buffers behind RunningOnShared/IdleWorkersShared: sized to
 	// the worker count once, filled by index, never grown — the event
 	// loops query occupancy every decision round and must not allocate.
@@ -48,14 +58,19 @@ type Kernel struct {
 
 // NewKernel returns a kernel at time zero with all workers idle.
 func NewKernel(pl platform.Platform) *Kernel {
+	n := pl.Workers()
+	// entry, idleScratch, heap and pos share one allocation.
+	ints := make([]int, 4*n)
 	return &Kernel{
 		P:           pl,
-		busy:        make([]bool, pl.Workers()),
-		runs:        make([]Running, pl.Workers()),
-		entry:       make([]int, pl.Workers()),
+		busy:        make([]bool, n),
+		runs:        make([]Running, n),
+		entry:       ints[0*n : 1*n : 1*n],
+		heap:        ints[1*n : 2*n : 2*n],
+		pos:         ints[2*n : 3*n : 3*n],
+		idleScratch: ints[3*n : 4*n : 4*n],
 		sched:       &Schedule{Platform: pl},
-		runScratch:  make([]Running, pl.Workers()),
-		idleScratch: make([]int, pl.Workers()),
+		runScratch:  make([]Running, n),
 	}
 }
 
@@ -69,19 +84,11 @@ func (k *Kernel) Busy(w int) bool { return k.busy[w] }
 // NumBusy returns the number of busy workers.
 func (k *Kernel) NumBusy() int { return k.nBusy }
 
-// RunningOn returns the runs currently active on workers of class kind.
-// The slice is freshly allocated; hot loops use RunningOnShared.
-func (k *Kernel) RunningOn(kind platform.Kind) []Running {
-	shared := k.RunningOnShared(kind)
-	out := make([]Running, len(shared))
-	copy(out, shared)
-	return out
-}
-
-// RunningOnShared is the allocation-free form of RunningOn: the returned
+// RunningOnShared returns the runs currently active on workers of class
+// kind, in increasing worker order. It does not allocate: the returned
 // slice aliases a kernel-owned scratch buffer and is overwritten by the
-// next call (to either Shared accessor's buffer owner). Callers may
-// reorder it in place but must not retain it across kernel calls.
+// next call. Callers may reorder it in place but must not retain it
+// across kernel calls.
 //
 //hplint:hotpath
 func (k *Kernel) RunningOnShared(kind platform.Kind) []Running {
@@ -104,18 +111,9 @@ func (k *Kernel) RunOf(w int) Running {
 	return k.runs[w]
 }
 
-// IdleWorkers returns the idle workers of class kind in increasing index
-// order. The slice is freshly allocated; hot loops use IdleWorkersShared.
-func (k *Kernel) IdleWorkers(kind platform.Kind) []int {
-	shared := k.IdleWorkersShared(kind)
-	out := make([]int, len(shared))
-	copy(out, shared)
-	return out
-}
-
-// IdleWorkersShared is the allocation-free form of IdleWorkers: the
-// returned slice aliases a kernel-owned scratch buffer and is overwritten
-// by the next call.
+// IdleWorkersShared returns the idle workers of class kind in increasing
+// index order. It does not allocate: the returned slice aliases a
+// kernel-owned scratch buffer and is overwritten by the next call.
 //
 //hplint:hotpath
 func (k *Kernel) IdleWorkersShared(kind platform.Kind) []int {
@@ -152,6 +150,12 @@ func (k *Kernel) StartTimed(w int, t platform.Task, actual float64, spoliation b
 		Worker: w, Task: t, Start: k.Now, End: end,
 		EstEnd: k.Now + t.Time(kind), Spoliation: spoliation,
 	}
+	if end < math.Inf(1) {
+		k.heap[k.nHeap] = w
+		k.pos[w] = k.nHeap
+		k.nHeap++
+		k.siftUp(k.nHeap - 1)
+	}
 	k.entry[w] = len(k.sched.Entries)
 	//hplint:allow allocflow one trace entry per run attempt; the recorded schedule is the simulation's product
 	k.sched.Entries = append(k.sched.Entries, Entry{
@@ -176,38 +180,99 @@ func (k *Kernel) Abort(w int) platform.Task {
 	e.Aborted = true
 	k.busy[w] = false
 	k.nBusy--
+	if k.runs[w].End < math.Inf(1) {
+		k.heapRemove(k.pos[w])
+	}
 	return k.runs[w].Task
 }
 
 // NextCompletion returns the earliest completion time among busy workers,
-// or +Inf when every worker is idle.
+// or +Inf when no run will complete (every worker idle, or every busy
+// run ending at +Inf).
 func (k *Kernel) NextCompletion() float64 {
-	next := math.Inf(1)
-	for w, b := range k.busy {
-		if b && k.runs[w].End < next {
-			next = k.runs[w].End
-		}
+	if k.nHeap == 0 {
+		return math.Inf(1)
 	}
-	return next
+	return k.runs[k.heap[0]].End
 }
 
 // CompleteNext advances time to the earliest completion event and retires
 // that run, freeing its worker. Ties are broken by the smallest worker
-// index so simulations are deterministic. It returns the completed run and
-// false when no worker is busy (time does not advance in that case).
+// index so simulations are deterministic. It returns the completed run,
+// or false when no run will complete (time does not advance in that
+// case).
 func (k *Kernel) CompleteNext() (Running, bool) {
-	best := -1
-	bestEnd := math.Inf(1)
-	for w, b := range k.busy {
-		if b && k.runs[w].End < bestEnd {
-			best, bestEnd = w, k.runs[w].End
-		}
-	}
-	if best < 0 {
+	if k.nHeap == 0 {
 		return Running{}, false
 	}
-	k.Now = bestEnd
-	k.busy[best] = false
+	w := k.heap[0]
+	k.heapRemove(0)
+	k.Now = k.runs[w].End
+	k.busy[w] = false
 	k.nBusy--
-	return k.runs[best], true
+	return k.runs[w], true
+}
+
+// completesBefore reports whether worker a's run completes before worker
+// b's: earlier End first, then the smaller worker index.
+func (k *Kernel) completesBefore(a, b int) bool {
+	ra, rb := &k.runs[a], &k.runs[b]
+	if ra.End != rb.End {
+		return ra.End < rb.End
+	}
+	return a < b
+}
+
+// heapRemove deletes the node at heap index i: the last node takes its
+// place and moves up or down to restore the heap order.
+func (k *Kernel) heapRemove(i int) {
+	k.nHeap--
+	if i == k.nHeap {
+		return
+	}
+	k.heap[i] = k.heap[k.nHeap]
+	k.pos[k.heap[i]] = i
+	if !k.siftUp(i) {
+		k.siftDown(i)
+	}
+}
+
+// siftUp moves the node at heap index i towards the root while it
+// completes before its parent, and reports whether it moved.
+func (k *Kernel) siftUp(i int) bool {
+	start := i
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !k.completesBefore(k.heap[i], k.heap[parent]) {
+			break
+		}
+		k.heapSwap(i, parent)
+		i = parent
+	}
+	return i != start
+}
+
+// siftDown moves the node at heap index i towards the leaves while a
+// child completes before it.
+func (k *Kernel) siftDown(i int) {
+	for {
+		child := 2*i + 1
+		if child >= k.nHeap {
+			return
+		}
+		if right := child + 1; right < k.nHeap && k.completesBefore(k.heap[right], k.heap[child]) {
+			child = right
+		}
+		if !k.completesBefore(k.heap[child], k.heap[i]) {
+			return
+		}
+		k.heapSwap(i, child)
+		i = child
+	}
+}
+
+func (k *Kernel) heapSwap(i, j int) {
+	k.heap[i], k.heap[j] = k.heap[j], k.heap[i]
+	k.pos[k.heap[i]] = i
+	k.pos[k.heap[j]] = j
 }

@@ -16,7 +16,7 @@ func task(id int, p, q float64) platform.Task {
 func TestKernelStartComplete(t *testing.T) {
 	pl := platform.NewPlatform(1, 1)
 	k := NewKernel(pl)
-	if k.NumBusy() != 0 || len(k.IdleWorkers(platform.CPU)) != 1 {
+	if k.NumBusy() != 0 || len(k.IdleWorkersShared(platform.CPU)) != 1 {
 		t.Fatal("fresh kernel state wrong")
 	}
 	k.Start(0, task(0, 5, 1), false) // CPU run, 5 units
@@ -51,19 +51,19 @@ func TestKernelRunningAndRunOf(t *testing.T) {
 	k := NewKernel(pl)
 	k.Start(0, task(0, 3, 1), false)
 	k.Start(2, task(1, 7, 4), true)
-	cpuRuns := k.RunningOn(platform.CPU)
+	cpuRuns := k.RunningOnShared(platform.CPU)
 	if len(cpuRuns) != 1 || cpuRuns[0].Task.ID != 0 {
-		t.Fatalf("RunningOn(CPU) = %v", cpuRuns)
+		t.Fatalf("RunningOnShared(CPU) = %v", cpuRuns)
 	}
-	gpuRuns := k.RunningOn(platform.GPU)
+	gpuRuns := k.RunningOnShared(platform.GPU)
 	if len(gpuRuns) != 1 || !gpuRuns[0].Spoliation {
-		t.Fatalf("RunningOn(GPU) = %v", gpuRuns)
+		t.Fatalf("RunningOnShared(GPU) = %v", gpuRuns)
 	}
 	if k.RunOf(2).End != 4 {
 		t.Fatalf("RunOf(2).End = %v, want 4", k.RunOf(2).End)
 	}
-	if got := k.IdleWorkers(platform.CPU); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("IdleWorkers(CPU) = %v", got)
+	if got := k.IdleWorkersShared(platform.CPU); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("IdleWorkersShared(CPU) = %v", got)
 	}
 }
 
