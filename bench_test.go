@@ -3,6 +3,7 @@ package hetero
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"testing"
@@ -196,6 +197,22 @@ func BenchmarkAreaBound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := bounds.AreaBound(in, pl); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHLPIndependent measures one tournament cell's HLP call: 120
+// log-normal tasks (mu ln 2, sigma 1, as the tournament draws them) on
+// 20+4. Nearly all of it is the allocation LP, so this is the benchgate's
+// probe for the simplex pivot cost.
+func BenchmarkHLPIndependent(b *testing.B) {
+	in := workloads.LogNormalAccelInstance(120, math.Ln2, 1, rand.New(rand.NewSource(1)))
+	pl := expr.PaperPlatform()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sched.HLPIndependent(in, pl); err != nil {
 			b.Fatal(err)
 		}
 	}

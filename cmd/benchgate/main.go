@@ -25,10 +25,10 @@ import (
 )
 
 // gatedBenchmarks is the -bench regexp for the gate: the scheduler fast
-// paths, the area bound, the DAG path on a narrow and a wide platform,
-// the pool scaling bench, and the shard-routing hot paths (ring lookup
-// and candidate ordering).
-const gatedBenchmarks = "^(BenchmarkScheduleIndependent|BenchmarkScheduleIndependentZoo|BenchmarkScheduleIndependentScaling|BenchmarkAreaBound|BenchmarkScheduleDAGCholesky|BenchmarkScheduleDAGWide|BenchmarkHDRRecord|BenchmarkSpanStartEnd|BenchmarkRingLookup|BenchmarkRouterCandidates)$"
+// paths, the area bound, HLP's allocation LP, the DAG path on a narrow and
+// a wide platform, the pool scaling bench, and the shard-routing hot paths
+// (ring lookup and candidate ordering).
+const gatedBenchmarks = "^(BenchmarkScheduleIndependent|BenchmarkScheduleIndependentZoo|BenchmarkScheduleIndependentScaling|BenchmarkAreaBound|BenchmarkHLPIndependent|BenchmarkScheduleDAGCholesky|BenchmarkScheduleDAGWide|BenchmarkHDRRecord|BenchmarkSpanStartEnd|BenchmarkRingLookup|BenchmarkRouterCandidates)$"
 
 func main() {
 	var (

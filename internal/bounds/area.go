@@ -182,7 +182,7 @@ func AreaBoundLP(in platform.Instance, pl platform.Platform) (float64, error) {
 	}
 	sol, err := lp.Solve(&lp.Problem{Objective: obj, Rows: rows})
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("bounds: area LP: %w", err)
 	}
 	if sol.Status != lp.Optimal {
 		return 0, fmt.Errorf("bounds: area LP returned %v", sol.Status)

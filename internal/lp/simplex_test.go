@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -45,6 +47,75 @@ func TestValidate(t *testing.T) {
 	}
 	if _, err := Solve(p2); err == nil {
 		t.Error("NaN bound should error")
+	}
+}
+
+// TestValidateNonFinite pins that a NaN or infinite objective or
+// constraint coefficient is rejected with an error naming where it is,
+// rather than solved into a wrong status or a NaN value.
+func TestValidateNonFinite(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		obj  []float64
+		rows [][]float64
+		want string
+	}{
+		{"nan coefficient", []float64{1, 1}, [][]float64{{1, 1}, {math.NaN(), 1}}, "row 1 column 0"},
+		{"nan objective", []float64{1, math.NaN()}, [][]float64{{1, 1}}, "objective column 1"},
+		{"+inf coefficient", []float64{-1, 0}, [][]float64{{1, inf}}, "row 0 column 1"},
+		{"-inf coefficient", []float64{1, 1}, [][]float64{{1, 1}, {1, 1}, {0, -inf}}, "row 2 column 1"},
+		{"+inf objective", []float64{inf}, [][]float64{{1}}, "objective column 0"},
+		{"-inf objective", []float64{0, -inf}, [][]float64{{1, 1}}, "objective column 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Problem{Objective: tc.obj}
+			for _, c := range tc.rows {
+				p.Rows = append(p.Rows, Constraint{Coeffs: c, Rel: LE, Bound: 1})
+			}
+			sol, err := Solve(p)
+			if err == nil {
+				t.Fatalf("Solve = %v value %v, want an error", sol.Status, sol.Value)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestIterationLimit lowers the pivot backstop so that each phase hits
+// it, and requires ErrIterationLimit rather than a panic.
+func TestIterationLimit(t *testing.T) {
+	defer func(old int) { iterLimit = old }(iterLimit)
+	iterLimit = 0
+	for _, tc := range []struct {
+		name string
+		p    *Problem
+	}{
+		// Two pivots in phase 2: no artificials.
+		{"phase 2", &Problem{
+			Objective: []float64{-1, -1},
+			Rows: []Constraint{
+				{Coeffs: []float64{1, 0}, Rel: LE, Bound: 2},
+				{Coeffs: []float64{0, 1}, Rel: LE, Bound: 3},
+			},
+		}},
+		// Two pivots in phase 1 to bring both GE rows to feasibility.
+		{"phase 1", &Problem{
+			Objective: []float64{1, 1},
+			Rows: []Constraint{
+				{Coeffs: []float64{1, 0}, Rel: GE, Bound: 2},
+				{Coeffs: []float64{0, 1}, Rel: GE, Bound: 3},
+			},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sol, err := Solve(tc.p)
+			if !errors.Is(err, ErrIterationLimit) {
+				t.Fatalf("Solve = %v, %v; want ErrIterationLimit", sol.Status, err)
+			}
+		})
 	}
 }
 

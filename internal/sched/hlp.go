@@ -104,10 +104,11 @@ func hlpAreaRows(in platform.Instance, pl platform.Platform, nv, lambdaAt int) [
 }
 
 // hlpSolve runs the simplex and surfaces non-optimal outcomes as errors.
+// Solver errors, lp.ErrIterationLimit among them, are wrapped.
 func hlpSolve(obj []float64, rows []lp.Constraint) ([]float64, float64, error) {
 	sol, err := lp.Solve(&lp.Problem{Objective: obj, Rows: rows})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("sched: HLP allocation LP: %w", err)
 	}
 	if sol.Status != lp.Optimal {
 		return nil, 0, fmt.Errorf("sched: HLP allocation LP returned %v", sol.Status)
