@@ -269,6 +269,58 @@ func BenchmarkScheduleDAGWide(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleDAGZoo measures the competitor schedulers that run
+// on sim.Kernel's event loop (ER-LS, DualHP, MCT and Affinity) on
+// Cholesky N=8 at 20+4, so the benchgate's allocs/op covers their loops
+// and not only HeteroPrio's.
+func BenchmarkScheduleDAGZoo(b *testing.B) {
+	g := workloads.Cholesky(8)
+	pl := expr.PaperPlatform()
+	if _, err := g.AssignBottomLevelPriorities(dag.WeightMin, pl); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		run  func() (*sim.Schedule, error)
+	}{
+		{"erls-min", func() (*sim.Schedule, error) { return sched.ERLSDAG(g, pl) }},
+		{"dualhp-min", func() (*sim.Schedule, error) { return sched.DualHPDAG(g, pl, sched.RankMin) }},
+		{"mct", func() (*sim.Schedule, error) { return sched.MCTDAG(g, pl) }},
+		{"affinity", func() (*sim.Schedule, error) { return sched.AffinityDAG(g, pl) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScheduleOnline measures HeteroPrio with release dates: the QR
+// N=16 task set released in batches of 64 every 2 time units on 120+24,
+// so workers drain each batch and spoliate between arrivals.
+func BenchmarkScheduleOnline(b *testing.B) {
+	in, err := workloads.IndependentTasks(workloads.FactQR, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tasks := make([]core.ReleasedTask, len(in))
+	for i, t := range in {
+		tasks[i] = core.ReleasedTask{Task: t, Release: float64(2 * (i / 64))}
+	}
+	pl := platform.NewPlatform(120, 24)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.ScheduleOnline(tasks, pl, core.Options{UsePriorities: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScheduleIndependentScaling fans 16 independent-instance cells
 // across engine pools of growing width. On a multi-core runner the
 // ns/op should drop as workers are added; the benchgate tracks the

@@ -45,7 +45,8 @@ type Options struct {
 	UsePriorities bool
 	// Eps is the tolerance used for the strict-improvement test of
 	// spoliation: a task is spoliated only if the new completion time
-	// improves on the current one by more than Eps. Defaults to 1e-9.
+	// improves on the current one by more than Eps. Defaults to
+	// DefaultEps.
 	Eps float64
 	// ActualTime, if non-nil, gives the actual execution duration of a
 	// task on a class, which may differ from the nominal processing time
@@ -75,11 +76,15 @@ func (o Options) actual(t platform.Task, k platform.Kind) float64 {
 	return o.ActualTime(t, k)
 }
 
+// DefaultEps is the spoliation margin when Options.Eps is unset; the live
+// runtime, which has no such option, always uses it.
+const DefaultEps = 1e-9
+
 func (o Options) eps() float64 {
 	if o.Eps > 0 {
 		return o.Eps
 	}
-	return 1e-9
+	return DefaultEps
 }
 
 // Result is the outcome of a HeteroPrio run.
@@ -132,8 +137,8 @@ func NewQueue(usePrio bool) *Queue { return &Queue{usePrio: usePrio} }
 
 // newQueueCap returns an empty queue with room for n pushes before the
 // first pop, so filling it with a known batch never regrows its buffers.
-func newQueueCap(usePrio bool, n int) *Queue {
-	return &Queue{usePrio: usePrio, tasks: make([]platform.Task, 0, n), pend: make([]queueKey, 0, n)}
+func newQueueCap(usePrio bool, n int) Queue {
+	return Queue{usePrio: usePrio, tasks: make([]platform.Task, 0, n), pend: make([]queueKey, 0, n)}
 }
 
 // queueKey is what the queue sorts: pointer-free, so moving keys costs no
@@ -295,7 +300,7 @@ func ScheduleIndependent(in platform.Instance, pl platform.Platform, opt Options
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
-	return runList(in, nil, pl, opt), nil
+	return runList(sim.Releases{Tasks: in}, pl, opt)
 }
 
 // ScheduleDAG runs the DAG variant of HeteroPrio: at any instant the
@@ -309,7 +314,7 @@ func ScheduleDAG(g *dag.Graph, pl platform.Platform, opt Options) (Result, error
 	if err := g.Validate(); err != nil {
 		return Result{}, err
 	}
-	return runList(nil, g, pl, opt), nil
+	return runList(sim.Releases{Graph: g}, pl, opt)
 }
 
 // kindOrder is the class service order of a decision round: GPUs first,
@@ -318,28 +323,27 @@ func ScheduleDAG(g *dag.Graph, pl platform.Platform, opt Options) (Result, error
 // rebuild the slice every round.
 var kindOrder = [platform.NumKinds]platform.Kind{platform.GPU, platform.CPU}
 
-// listState is one runList execution: the event-loop methods below are
-// the scheduling hot path (annotated //hplint:hotpath; the allocflow
-// analyzer proves every decision round allocation-free, modulo the
-// justified allows at amortized-growth sites). Construction and setup
-// stay in runList, outside the contract.
+// listState is HeteroPrio as a sim.Run policy: the ρ queue, the
+// spoliation rule and the transfer-delay bookkeeping. Its hooks are the
+// scheduling hot path (annotated //hplint:hotpath; the allocflow analyzer
+// proves every decision round allocation-free, modulo the justified allows
+// at amortized-growth sites). Construction and setup stay in runList,
+// outside the contract.
 type listState struct {
 	k   *sim.Kernel
-	q   *Queue
+	q   Queue
 	pl  platform.Platform
 	opt Options
 	o   obs.Observer
 	eps float64
 
-	g  *dag.Graph
-	rt *dag.ReadyTracker
+	g *dag.Graph
 	// classReady[id][k] is the earliest instant task id may start on class
 	// k once ready (predecessor completion plus transfer delay when the
 	// predecessor ran on the other class). Only tracked with a transfer
 	// delay configured.
 	classReady [][platform.NumKinds]float64
 
-	remaining   int
 	tFirstIdle  float64
 	spoliations int
 }
@@ -373,7 +377,7 @@ func victimBefore(a, b *sim.Running) bool {
 	return a.Task.ID < b.Task.ID
 }
 
-// pickVictim returns the index in victims of the run an idle worker of
+// PickVictim returns the index in victims of the run an idle worker of
 // class kind spoliates at time now, or -1 if there is none. A candidate
 // qualifies if the worker would finish it more than eps before its
 // expected completion EstEnd (the completion time the scheduler believes
@@ -381,10 +385,11 @@ func victimBefore(a, b *sim.Running) bool {
 // noise the true End is not observable). Among the qualifying runs the
 // first in victimBefore order wins. Because that order is strict and
 // total, one pass picks exactly the run that sorting the candidates and
-// taking the first qualifying one would.
+// taking the first qualifying one would. The simulator and the live
+// runtime (package runtime) share this rule.
 //
 //hplint:hotpath
-func pickVictim(victims []sim.Running, now float64, kind platform.Kind, eps float64) int {
+func PickVictim(victims []sim.Running, now float64, kind platform.Kind, eps float64) int {
 	best := -1
 	for i := range victims {
 		v := &victims[i]
@@ -402,7 +407,7 @@ func pickVictim(victims []sim.Running, now float64, kind platform.Kind, eps floa
 func (s *listState) trySpoliate(w int) bool {
 	kind := s.pl.KindOf(w)
 	victims := s.k.RunningOnShared(kind.Other())
-	i := pickVictim(victims, s.k.Now, kind, s.eps)
+	i := PickVictim(victims, s.k.Now, kind, s.eps)
 	if i < 0 {
 		return false
 	}
@@ -417,11 +422,23 @@ func (s *listState) trySpoliate(w int) bool {
 	return true
 }
 
-// assign fills idle workers from the queue and, once the queue is
-// exhausted, attempts spoliations until no more progress is possible.
+// release queues a task that just became ready.
 //
 //hplint:hotpath
-func (s *listState) assign() {
+func (s *listState) release(t platform.Task) {
+	s.q.Push(t)
+	if s.o != nil {
+		s.o.TaskQueued(s.k.Now, t, s.q.Len())
+	}
+}
+
+// assign is one decision round: it fills idle workers from the queue and,
+// once the queue is exhausted, attempts spoliations until no more progress
+// is possible; then it records the first idle instant and the observer's
+// samples (sim.Run calls it only while tasks remain). It never fails.
+//
+//hplint:hotpath
+func (s *listState) assign() error {
 	for {
 		changed := false
 		for _, w := range s.k.IdleWorkersShared(platform.GPU) {
@@ -461,124 +478,71 @@ func (s *listState) assign() {
 			}
 		}
 		if !changed {
-			return
+			break
 		}
 	}
+	if s.k.NumBusy() < s.pl.Workers() && s.k.Now < s.tFirstIdle {
+		s.tFirstIdle = s.k.Now
+	}
+	if s.o != nil {
+		s.o.QueueDepthSample(s.k.Now, s.q.Len())
+		for w := 0; w < s.pl.Workers(); w++ {
+			if !s.k.Busy(w) {
+				s.o.WorkerIdle(s.k.Now, w, s.pl.KindOf(w))
+			}
+		}
+	}
+	return nil
 }
 
-// complete retires one finished run: completion event, transfer-delay
-// bookkeeping, and queueing of newly ready successors.
+// complete retires one finished run: completion event and transfer-delay
+// bookkeeping for its successors.
 //
 //hplint:hotpath
 func (s *listState) complete(run sim.Running) {
-	s.remaining--
 	if s.o != nil {
 		s.o.TaskCompleted(s.k.Now, run.Worker, s.pl.KindOf(run.Worker), run.Task, run.Start)
 	}
-	if s.rt != nil {
-		if s.classReady != nil {
-			kind := s.pl.KindOf(run.Worker)
-			for _, succ := range s.g.Succs(run.Task.ID) {
-				if run.End > s.classReady[succ][kind] {
-					s.classReady[succ][kind] = run.End
-				}
-				if other := kind.Other(); run.End+s.opt.TransferDelay > s.classReady[succ][other] {
-					s.classReady[succ][other] = run.End + s.opt.TransferDelay
-				}
+	if s.classReady != nil {
+		kind := s.pl.KindOf(run.Worker)
+		for _, succ := range s.g.Succs(run.Task.ID) {
+			if run.End > s.classReady[succ][kind] {
+				s.classReady[succ][kind] = run.End
 			}
-		}
-		s.rt.Complete(run.Task.ID)
-		for _, id := range s.rt.DrainShared() {
-			t := s.g.Task(id)
-			s.q.Push(t)
-			if s.o != nil {
-				s.o.TaskQueued(s.k.Now, t, s.q.Len())
+			if other := kind.Other(); run.End+s.opt.TransferDelay > s.classReady[succ][other] {
+				s.classReady[succ][other] = run.End + s.opt.TransferDelay
 			}
 		}
 	}
 }
 
-// loop is the event loop proper: assign, observe, advance to the next
-// completion, drain same-instant completions, repeat.
-//
-//hplint:hotpath
-func (s *listState) loop() {
-	for {
-		s.assign()
-		if s.remaining > 0 && s.k.NumBusy() < s.pl.Workers() && s.k.Now < s.tFirstIdle {
-			s.tFirstIdle = s.k.Now
-		}
-		if s.o != nil && s.remaining > 0 {
-			s.o.QueueDepthSample(s.k.Now, s.q.Len())
-			for w := 0; w < s.pl.Workers(); w++ {
-				if !s.k.Busy(w) {
-					s.o.WorkerIdle(s.k.Now, w, s.pl.KindOf(w))
-				}
-			}
-		}
-		run, ok := s.k.CompleteNext()
-		if !ok {
-			return
-		}
-		s.complete(run)
-		// Drain every completion with the same timestamp before letting the
-		// policy reassign: all workers that become idle at this instant must
-		// see the same queue, with GPUs served first (otherwise a CPU could
-		// steal a high-affinity task from a GPU that frees up at the very
-		// same time).
-		//hplint:allow floateq completions at one instant carry the same stored float; the exact same-timestamp drain is intended
-		for s.k.NextCompletion() == s.k.Now {
-			run, ok = s.k.CompleteNext()
-			if !ok {
-				break
-			}
-			s.complete(run)
-		}
-	}
-}
-
-// runList is the shared event loop driver. Exactly one of in (independent
-// mode) and g (DAG mode) is non-nil. Setup (kernel, queue fill, tracker)
-// happens here, outside the hot-path contract; the per-decision work
-// lives in the listState methods above.
-func runList(in platform.Instance, g *dag.Graph, pl platform.Platform, opt Options) Result {
+// runList runs HeteroPrio on the tasks src releases: all at once, as a
+// graph's tasks become ready, or at their release dates. Every completion
+// at an instant is retired before the next decision round, so all workers
+// that become idle at that instant see the same queue, with GPUs served
+// first (otherwise a CPU could steal a high-affinity task from a GPU that
+// frees up at the very same time).
+func runList(src sim.Releases, pl platform.Platform, opt Options) (Result, error) {
 	s := &listState{
 		k:          sim.NewKernel(pl),
-		q:          newQueueCap(opt.UsePriorities, len(in)),
+		q:          newQueueCap(opt.UsePriorities, len(src.Tasks)),
 		pl:         pl,
 		opt:        opt,
 		o:          opt.Observer,
 		eps:        opt.eps(),
-		g:          g,
+		g:          src.Graph,
 		tFirstIdle: math.Inf(1),
 	}
-	if g != nil {
-		s.rt = dag.NewReadyTracker(g)
-		s.remaining = g.Len()
-		if opt.TransferDelay > 0 {
-			s.classReady = make([][platform.NumKinds]float64, g.Len())
-		}
-		for _, id := range s.rt.DrainShared() {
-			t := g.Task(id)
-			s.q.Push(t)
-			if s.o != nil {
-				s.o.TaskQueued(s.k.Now, t, s.q.Len())
-			}
-		}
-	} else {
-		s.remaining = len(in)
-		// Stable order: queue stability reproduces the paper's tie cases.
-		for _, t := range in {
-			s.q.Push(t)
-			if s.o != nil {
-				s.o.TaskQueued(s.k.Now, t, s.q.Len())
-			}
-		}
+	if s.g != nil && opt.TransferDelay > 0 {
+		s.classReady = make([][platform.NumKinds]float64, s.g.Len())
 	}
-	s.loop()
+	err := sim.Run(s.k, src, sim.Policy{Release: s.release, Assign: s.assign, Complete: s.complete, Batch: true})
+	if err != nil {
+		return Result{}, err
+	}
 	return Result{
 		Schedule:    s.k.Schedule(),
 		TFirstIdle:  s.tFirstIdle,
 		Spoliations: s.spoliations,
-	}
+	}, nil
 }

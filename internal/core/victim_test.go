@@ -112,10 +112,10 @@ func TestPickVictimMatchesSortFirstFit(t *testing.T) {
 			}
 			victims[i] = sim.Running{Worker: i, Task: tk, Start: now - 1, End: estEnd, EstEnd: estEnd}
 		}
-		got := pickVictim(victims, now, kind, eps)
+		got := PickVictim(victims, now, kind, eps)
 		want := refPickVictim(victims, now, kind, eps)
 		if got != want {
-			t.Fatalf("trial %d (%d runs, now %v, eps %v, %v): pickVictim = %d, reference %d",
+			t.Fatalf("trial %d (%d runs, now %v, eps %v, %v): PickVictim = %d, reference %d",
 				trial, n, now, eps, kind, got, want)
 		}
 		if got >= 0 {

@@ -19,7 +19,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cancel"
@@ -224,45 +223,32 @@ func Run(g *Graph, cfg Config) (*Report, error) {
 	// its task after the cooperative abort.
 	reservedBy := make(map[int]int) // victim worker -> spoliating worker
 
+	// victims is trySpoliate's scratch list: the other class's runs not
+	// already being spoliated, in the simulator's Running form so both
+	// pick by HeteroPrio's victim rule.
+	victims := make([]sim.Running, 0, pl.Workers())
 	trySpoliate := func(w int) bool {
 		if cfg.DisableSpoliation {
 			return false
 		}
 		kind := pl.KindOf(w)
-		now := clk.Since(epoch)
-		// Victims: running tasks on the other class, not already being
-		// spoliated, in decreasing estimated completion time.
-		type victim struct {
-			worker int
-			info   *runInfo
-		}
-		var victims []victim
-		for vw, info := range running {
-			if pl.KindOf(vw) == kind {
-				continue
-			}
-			if _, taken := reservedBy[vw]; taken {
-				continue
-			}
-			victims = append(victims, victim{vw, info})
-		}
-		sort.Slice(victims, func(i, j int) bool {
-			if victims[i].info.estEnd != victims[j].info.estEnd {
-				return victims[i].info.estEnd > victims[j].info.estEnd
-			}
-			return victims[i].info.id < victims[j].info.id
-		})
-		for _, v := range victims {
-			est := g.d.Task(v.info.id).Time(kind)
-			newEnd := now + time.Duration(est*float64(time.Second))
-			if newEnd < v.info.estEnd {
-				v.info.flag.Cancel()
-				reservedBy[v.worker] = w
-				delete(idle, w)
-				return true
+		victims = victims[:0]
+		lo, hi := pl.KindRange(kind.Other())
+		for vw := lo; vw < hi; vw++ {
+			info, ok := running[vw]
+			if _, taken := reservedBy[vw]; ok && !taken {
+				victims = append(victims, sim.Running{Worker: vw, Task: g.d.Task(info.id), EstEnd: info.estEnd.Seconds()})
 			}
 		}
-		return false
+		i := core.PickVictim(victims, clk.Since(epoch).Seconds(), kind, core.DefaultEps)
+		if i < 0 {
+			return false
+		}
+		vw := victims[i].Worker
+		running[vw].flag.Cancel()
+		reservedBy[vw] = w
+		delete(idle, w)
+		return true
 	}
 
 	assign := func() {
@@ -284,11 +270,17 @@ func Run(g *Graph, cfg Config) (*Report, error) {
 				}
 			}
 			if queue.Len() == 0 {
+				// A failed attempt changes nothing a later worker of the
+				// same class would see, so the class stops there.
 				for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
 					for _, w := range pl.WorkersOf(kind) {
-						if idle[w] && trySpoliate(w) {
-							progress = true
+						if !idle[w] {
+							continue
 						}
+						if !trySpoliate(w) {
+							break
+						}
+						progress = true
 					}
 				}
 			}

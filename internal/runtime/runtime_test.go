@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -338,6 +339,62 @@ func TestRunManualClock(t *testing.T) {
 	}
 	if got := len(rep.Trace.SuccessfulEntries()); got != 2 {
 		t.Errorf("%d successful runs, want 2", got)
+	}
+}
+
+// TestRunSpoliatesByVictimRule pins the live coordinator to HeteroPrio's
+// victim rule (core.PickVictim) under a frozen clock on 1 CPU + 2 GPUs.
+// Both GPU runs end at the same estimated instant; the second has a
+// successor, so its min bottom level, and with it its priority, is the
+// higher one. When the CPU frees up with an empty queue it must cancel
+// that run: ordering tied victims by task ID would cancel the first.
+func TestRunSpoliatesByVictimRule(t *testing.T) {
+	spoliated := make(chan struct{})
+	var once sync.Once
+	signal := func() { once.Do(func() { close(spoliated) }) }
+	// Unblock the GPU runs even if no spoliation ever comes, so a
+	// regression fails the assertions below instead of hanging.
+	defer time.AfterFunc(10*time.Second, signal).Stop()
+	gpuTask := func(name string) Task {
+		return Task{
+			Name: name, EstCPU: 1, EstGPU: 2,
+			Run: func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				if kind == platform.CPU {
+					return true, nil
+				}
+				for {
+					if flag.Cancelled() {
+						signal()
+						return false, nil
+					}
+					select {
+					case <-spoliated:
+						return true, nil
+					case <-time.After(100 * time.Microsecond):
+					}
+				}
+			},
+		}
+	}
+	done := func(platform.Kind, *cancel.Flag) (bool, error) { return true, nil }
+	g := NewGraph()
+	g.Add(gpuTask("first"))
+	second := g.Add(gpuTask("second"))
+	g.Add(Task{Name: "cpu", EstCPU: 1, EstGPU: 100, Run: done})
+	succ := g.Add(Task{Name: "succ", EstCPU: 1, EstGPU: 1, Run: done})
+	g.AddDep(second, succ)
+	clk := clock.NewManual(time.Unix(0, 0))
+	rep, err := Run(g, Config{CPUWorkers: 1, GPUWorkers: 2, UsePriorities: true, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Spoliations != 1 {
+		t.Fatalf("spoliations = %d, want 1", rep.Spoliations)
+	}
+	for _, e := range rep.Trace.Entries {
+		if e.Aborted && e.TaskID != second {
+			t.Errorf("cancelled task %d, want the higher-priority task %d", e.TaskID, second)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"errors"
-
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -58,56 +56,33 @@ func AffinityIndependent(in platform.Instance, pl platform.Platform) (*sim.Sched
 	if err := pl.Validate(); err != nil {
 		return nil, err
 	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
 	sorted := in.Clone()
 	sorted.SortByAccelDesc()
-	dq := accelDeque{tasks: sorted}
-	k := sim.NewKernel(pl)
-	last := make([]string, pl.Workers())
-	assign := func() {
-		for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
-			for _, w := range k.IdleWorkersShared(kind) {
-				if dq.empty() {
-					return
-				}
-				t := affinityTake(&dq, kind, last[w])
-				last[w] = t.Name
-				k.Start(w, t, false)
-			}
-		}
-	}
-	assign()
-	for {
-		if _, ok := k.CompleteNext(); !ok {
-			break
-		}
-		assign()
-	}
-	if !dq.empty() {
-		return nil, errors.New("sched: affinity deque not drained")
-	}
-	return k.Schedule(), nil
+	var dq accelDeque
+	release := func(t platform.Task) { dq.tasks = append(dq.tasks, t) }
+	return runList(pl, sim.Releases{Tasks: sorted}, release, pickRound(affinityPick(&dq, pl), nominal))
 }
 
 // AffinityDAG schedules a task graph with the online affinity heuristic:
 // the deque holds the ready tasks, refilled as predecessors complete.
 func AffinityDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error) {
-	var dq accelDeque
-	last := make([]string, pl.Workers())
-	admit := func(ids []int) {
-		for _, id := range ids {
-			dq.insert(g.Task(id))
-		}
+	if err := pl.Validate(); err != nil {
+		return nil, err
 	}
-	pick := func(w int, kind platform.Kind) (platform.Task, bool) {
+	var dq accelDeque
+	return runList(pl, sim.Releases{Graph: g}, dq.insert, pickRound(affinityPick(&dq, pl), nominal))
+}
+
+// affinityPick is Affinity's queue discipline on dq: each worker takes its
+// next task per affinityTake, remembering the kernel name it last ran.
+func affinityPick(dq *accelDeque, pl platform.Platform) picker {
+	last := make([]string, pl.Workers())
+	return func(w int, kind platform.Kind) (platform.Task, bool) {
 		if dq.empty() {
 			return platform.Task{}, false
 		}
-		t := affinityTake(&dq, kind, last[w])
+		t := affinityTake(dq, kind, last[w])
 		last[w] = t.Name
 		return t, true
 	}
-	return runOnlineList(g, pl, admit, pick)
 }

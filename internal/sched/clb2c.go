@@ -60,11 +60,6 @@ func CLB2CIndependent(in platform.Instance, pl platform.Platform) (*sim.Schedule
 // rule degenerates online, since only idle workers ask for work).
 func CLB2CDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error) {
 	var dq accelDeque
-	admit := func(ids []int) {
-		for _, id := range ids {
-			dq.insert(g.Task(id))
-		}
-	}
 	pick := func(_ int, kind platform.Kind) (platform.Task, bool) {
 		if dq.empty() {
 			return platform.Task{}, false
@@ -74,7 +69,7 @@ func CLB2CDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error) {
 		}
 		return dq.popBack(), true
 	}
-	return runOnlineList(g, pl, admit, pick)
+	return runList(pl, sim.Releases{Graph: g}, dq.insert, pickRound(pick, nominal))
 }
 
 // accelDeque is a deque of tasks kept sorted by non-increasing

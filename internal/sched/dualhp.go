@@ -203,41 +203,33 @@ func DualHPDAG(g *dag.Graph, pl platform.Platform, rank Ranking) (*sim.Schedule,
 // decisions (dual assignments, load estimates) keep using the nominal
 // processing times — the estimation-noise setting.
 func DualHPDAGTimed(g *dag.Graph, pl platform.Platform, rank Ranking, actual func(t platform.Task, k platform.Kind) float64) (*sim.Schedule, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
 	if actual == nil {
-		actual = func(t platform.Task, k platform.Kind) float64 { return t.Time(k) }
+		actual = nominal
 	}
-	k := sim.NewKernel(pl)
-	rt := dag.NewReadyTracker(g)
-
-	// pending holds ready-but-unstarted tasks with their arrival order.
+	// pending holds ready-but-unstarted tasks with their arrival order;
+	// stale marks tasks released since the last dual assignment.
 	type pendingTask struct {
 		t   platform.Task
 		seq int
 	}
 	var pending []pendingTask
 	seq := 0
+	stale := false
 	// classOf maps task ID to its currently assigned class.
 	classOf := make(map[int]platform.Kind, g.Len())
 
-	admit := func() {
-		for _, id := range rt.Drain() {
-			pending = append(pending, pendingTask{g.Task(id), seq})
-			seq++
-		}
+	release := func(t platform.Task) {
+		pending = append(pending, pendingTask{t, seq})
+		seq++
+		stale = true
 	}
 
-	initLoad := make([]float64, pl.Workers())
-	recompute := func() error {
-		if len(pending) == 0 {
-			return nil
+	var initLoad []float64
+	recompute := func(k *sim.Kernel) error {
+		if initLoad == nil {
+			initLoad = make([]float64, pl.Workers())
 		}
-		for w := 0; w < pl.Workers(); w++ {
+		for w := range initLoad {
 			initLoad[w] = 0
 			if k.Busy(w) {
 				// The scheduler only knows the estimated remaining time.
@@ -262,7 +254,7 @@ func DualHPDAGTimed(g *dag.Graph, pl platform.Platform, rank Ranking, actual fun
 
 	// pick removes and returns the next pending task assigned to class
 	// kind, honoring the ranking order. ok is false if none is pending.
-	pick := func(kind platform.Kind) (platform.Task, bool) {
+	pick := func(_ int, kind platform.Kind) (platform.Task, bool) {
 		best := -1
 		for i, p := range pending {
 			if classOf[p.t.ID] != kind {
@@ -294,41 +286,19 @@ func DualHPDAGTimed(g *dag.Graph, pl platform.Platform, rank Ranking, actual fun
 		return t, true
 	}
 
-	assignWorkers := func() {
-		for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
-			for _, w := range k.IdleWorkersShared(kind) {
-				t, ok := pick(kind)
-				if !ok {
-					break
-				}
-				k.StartTimed(w, t, actual(t, kind), false)
+	// Each round first recomputes the assignment of every pending task if
+	// tasks were released since the last one.
+	round := pickRound(pick, actual)
+	assign := func(k *sim.Kernel) error {
+		if stale {
+			stale = false
+			if err := recompute(k); err != nil {
+				return err
 			}
 		}
+		return round(k)
 	}
-
-	admit()
-	if err := recompute(); err != nil {
-		return nil, err
-	}
-	for {
-		assignWorkers()
-		run, ok := k.CompleteNext()
-		if !ok {
-			break
-		}
-		rt.Complete(run.Task.ID)
-		before := len(pending)
-		admit()
-		if len(pending) != before {
-			if err := recompute(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if !rt.Done() {
-		return nil, fmt.Errorf("sched: DualHP DAG finished with %d tasks remaining", rt.Remaining())
-	}
-	return k.Schedule(), nil
+	return runList(pl, sim.Releases{Graph: g}, release, assign)
 }
 
 // DualHPDAGWithPriorities assigns bottom-level priorities for the ranking

@@ -57,17 +57,14 @@ func ERLSIndependent(in platform.Instance, pl platform.Platform) (*sim.Schedule,
 func ERLSDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error) {
 	var queues [platform.NumKinds]classQueue
 	seq := 0
-	admit := func(ids []int) {
-		for _, id := range ids {
-			t := g.Task(id)
-			queues[ERLSKind(t, pl)].add(t, seq)
-			seq++
-		}
+	release := func(t platform.Task) {
+		queues[ERLSKind(t, pl)].add(t, seq)
+		seq++
 	}
 	pick := func(_ int, kind platform.Kind) (platform.Task, bool) {
 		return queues[kind].pop()
 	}
-	return runOnlineList(g, pl, admit, pick)
+	return runList(pl, sim.Releases{Graph: g}, release, pickRound(pick, nominal))
 }
 
 // ERLSDAGWithPriorities assigns bottom-level priorities under the given

@@ -58,29 +58,21 @@ func MCTDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error) {
 // MCTDAGTimed is MCTDAG with an explicit duration model (nil means
 // nominal): decisions use nominal times, runs take actual durations.
 func MCTDAGTimed(g *dag.Graph, pl platform.Platform, actual func(t platform.Task, k platform.Kind) float64) (*sim.Schedule, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
 	if actual == nil {
-		actual = func(t platform.Task, k platform.Kind) float64 { return t.Time(k) }
+		actual = nominal
 	}
-	k := sim.NewKernel(pl)
-	rt := dag.NewReadyTracker(g)
-	var ready []int
-	admit := func() { ready = append(ready, rt.Drain()...) }
-	assign := func() {
+	var ready []platform.Task
+	release := func(t platform.Task) { ready = append(ready, t) }
+	assign := func(k *sim.Kernel) error {
 		for len(ready) > 0 {
 			// Highest-priority ready task first.
 			best := 0
 			for i := 1; i < len(ready); i++ {
-				if g.Task(ready[i]).Priority > g.Task(ready[best]).Priority {
+				if ready[i].Priority > ready[best].Priority {
 					best = i
 				}
 			}
-			t := g.Task(ready[best])
+			t := ready[best]
 			// Idle worker with the earliest completion for t.
 			bw, bend := -1, math.Inf(1)
 			for w := 0; w < pl.Workers(); w++ {
@@ -92,23 +84,14 @@ func MCTDAGTimed(g *dag.Graph, pl platform.Platform, actual func(t platform.Task
 				}
 			}
 			if bw < 0 {
-				return
+				break
 			}
 			ready = append(ready[:best], ready[best+1:]...)
 			k.StartTimed(bw, t, actual(t, pl.KindOf(bw)), false)
 		}
+		return nil
 	}
-	admit()
-	for {
-		assign()
-		run, ok := k.CompleteNext()
-		if !ok {
-			break
-		}
-		rt.Complete(run.Task.ID)
-		admit()
-	}
-	return k.Schedule(), nil
+	return runList(pl, sim.Releases{Graph: g}, release, assign)
 }
 
 // LPTPerClass schedules independent tasks with the affinity-blind

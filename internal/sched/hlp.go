@@ -221,16 +221,14 @@ func HLPDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error) {
 	}
 	var queues [platform.NumKinds]classQueue
 	seq := 0
-	admit := func(ids []int) {
-		for _, id := range ids {
-			queues[kinds[id]].add(g.Task(id), seq)
-			seq++
-		}
+	release := func(t platform.Task) {
+		queues[kinds[t.ID]].add(t, seq)
+		seq++
 	}
 	pick := func(_ int, kind platform.Kind) (platform.Task, bool) {
 		return queues[kind].pop()
 	}
-	return runOnlineList(g, pl, admit, pick)
+	return runList(pl, sim.Releases{Graph: g}, release, pickRound(pick, nominal))
 }
 
 // HLPDAGWithPriorities assigns bottom-level priorities under the given

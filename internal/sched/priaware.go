@@ -89,11 +89,9 @@ func PriorityAwareDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error)
 	}
 	var pending []zooTaskEntry
 	seq := 0
-	admit := func(ids []int) {
-		for _, id := range ids {
-			pending = append(pending, zooTaskEntry{g.Task(id), seq})
-			seq++
-		}
+	release := func(t platform.Task) {
+		pending = append(pending, zooTaskEntry{t, seq})
+		seq++
 	}
 	pick := func(_ int, kind platform.Kind) (platform.Task, bool) {
 		best := -1
@@ -119,7 +117,7 @@ func PriorityAwareDAG(g *dag.Graph, pl platform.Platform) (*sim.Schedule, error)
 		pending = append(pending[:best], pending[best+1:]...)
 		return t, true
 	}
-	return runOnlineList(g, pl, admit, pick)
+	return runList(pl, sim.Releases{Graph: g}, release, pickRound(pick, nominal))
 }
 
 // PriorityAwareDAGWithPriorities assigns bottom-level priorities under the

@@ -18,9 +18,6 @@ func ReplayAssignment(g *dag.Graph, pl platform.Platform, assign []int, rank []f
 	if err := pl.Validate(); err != nil {
 		return nil, err
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
 	if len(assign) != g.Len() || len(rank) != g.Len() {
 		return nil, fmt.Errorf("sched: assignment/rank size %d/%d, want %d", len(assign), len(rank), g.Len())
 	}
@@ -30,51 +27,32 @@ func ReplayAssignment(g *dag.Graph, pl platform.Platform, assign []int, rank []f
 		}
 	}
 	if actual == nil {
-		actual = func(t platform.Task, k platform.Kind) float64 { return t.Time(k) }
+		actual = nominal
 	}
-
-	k := sim.NewKernel(pl)
-	rt := dag.NewReadyTracker(g)
-	// readyOn[w] holds ready-unstarted task IDs assigned to worker w.
-	readyOn := make([][]int, pl.Workers())
-	admit := func() {
-		for _, id := range rt.Drain() {
-			w := assign[id]
-			readyOn[w] = append(readyOn[w], id)
-		}
+	// readyOn[w] holds the ready-unstarted tasks assigned to worker w.
+	readyOn := make([][]platform.Task, pl.Workers())
+	release := func(t platform.Task) {
+		w := assign[t.ID]
+		readyOn[w] = append(readyOn[w], t)
 	}
-	assignIdle := func() {
-		for w := 0; w < pl.Workers(); w++ {
+	round := func(k *sim.Kernel) error {
+		for w := range readyOn {
 			if k.Busy(w) || len(readyOn[w]) == 0 {
 				continue
 			}
 			best := 0
 			for i := 1; i < len(readyOn[w]); i++ {
-				if rank[readyOn[w][i]] > rank[readyOn[w][best]] {
+				if rank[readyOn[w][i].ID] > rank[readyOn[w][best].ID] {
 					best = i
 				}
 			}
-			id := readyOn[w][best]
+			t := readyOn[w][best]
 			readyOn[w] = append(readyOn[w][:best], readyOn[w][best+1:]...)
-			t := g.Task(id)
 			k.StartTimed(w, t, actual(t, pl.KindOf(w)), false)
 		}
+		return nil
 	}
-
-	admit()
-	for {
-		assignIdle()
-		run, ok := k.CompleteNext()
-		if !ok {
-			break
-		}
-		rt.Complete(run.Task.ID)
-		admit()
-	}
-	if !rt.Done() {
-		return nil, fmt.Errorf("sched: replay stalled with %d tasks remaining", rt.Remaining())
-	}
-	return k.Schedule(), nil
+	return runList(pl, sim.Releases{Graph: g}, release, round)
 }
 
 // HEFTTimed plans with HEFT on the nominal processing times and replays

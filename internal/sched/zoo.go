@@ -11,9 +11,6 @@ package sched
 // sequence via classQueue).
 
 import (
-	"fmt"
-
-	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -110,41 +107,53 @@ func (q *classQueue) pop() (platform.Task, bool) {
 	return t, true
 }
 
-// runOnlineList drives the shared online list-scheduling event loop: admit
-// receives the IDs of tasks that just became ready, pick hands idle worker
-// w of class kind its next task (ok=false when nothing is available for
-// that class). GPUs are served before CPUs at each decision point, like
-// every other event loop in this package.
-func runOnlineList(g *dag.Graph, pl platform.Platform,
-	admit func(ids []int), pick func(w int, kind platform.Kind) (platform.Task, bool)) (*sim.Schedule, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	k := sim.NewKernel(pl)
-	rt := dag.NewReadyTracker(g)
-	admit(rt.Drain())
-	for {
-		for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
+// nominal is the duration model of the noise-free schedulers: every run
+// takes its task's processing time on the worker's class.
+func nominal(t platform.Task, k platform.Kind) float64 { return t.Time(k) }
+
+// picker hands idle worker w of class kind its next task; ok is false
+// when nothing is available for that class.
+type picker func(w int, kind platform.Kind) (t platform.Task, ok bool)
+
+// pickRound is the zoo's shared decision round: every idle worker, GPUs
+// first, starts the task pick offers its class, and a class stops at its
+// first refusal. Runs take their actual durations.
+func pickRound(pick picker, actual func(platform.Task, platform.Kind) float64) func(k *sim.Kernel) error {
+	return func(k *sim.Kernel) error {
+		for _, kind := range [...]platform.Kind{platform.GPU, platform.CPU} {
 			for _, w := range k.IdleWorkersShared(kind) {
 				t, ok := pick(w, kind)
 				if !ok {
 					break
 				}
-				k.Start(w, t, false)
+				k.StartTimed(w, t, actual(t, kind), false)
 			}
 		}
-		run, ok := k.CompleteNext()
-		if !ok {
-			break
-		}
-		rt.Complete(run.Task.ID)
-		admit(rt.Drain())
+		return nil
 	}
-	if !rt.Done() {
-		return nil, fmt.Errorf("sched: online list scheduler finished with %d tasks remaining", rt.Remaining())
+}
+
+// runList validates pl and src and drives sim.Run on a fresh kernel:
+// release queues each task as it becomes schedulable, and assign is one
+// decision round on the kernel. Unlike HeteroPrio, these policies do not
+// batch an instant's completions: a round follows each completion, in the
+// kernel's (end, worker) order.
+func runList(pl platform.Platform, src sim.Releases, release func(platform.Task), assign func(k *sim.Kernel) error) (*sim.Schedule, error) {
+	if err := pl.Validate(); err != nil {
+		return nil, err
+	}
+	var err error
+	if src.Graph != nil {
+		err = src.Graph.Validate()
+	} else {
+		err = src.Tasks.Validate()
+	}
+	if err != nil {
+		return nil, err
+	}
+	k := sim.NewKernel(pl)
+	if err := sim.Run(k, src, sim.Policy{Release: release, Assign: func() error { return assign(k) }}); err != nil {
+		return nil, err
 	}
 	return k.Schedule(), nil
 }

@@ -28,7 +28,8 @@ type Running struct {
 // Kernel is the discrete-event core driving a simulation: it tracks worker
 // occupancy, advances virtual time to completion events, and records every
 // execution attempt into a Schedule. Scheduling policies (HeteroPrio,
-// DualHP, ...) sit on top and decide which task each idle worker starts.
+// DualHP, ...) sit on top, driven by Run, and decide which task each idle
+// worker starts.
 type Kernel struct {
 	P   platform.Platform
 	Now float64

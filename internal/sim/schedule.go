@@ -1,6 +1,7 @@
 // Package sim provides the discrete-event simulation substrate shared by
-// all schedulers: a worker kernel that advances virtual time, a schedule
-// recorder that keeps every execution attempt (including runs aborted by
+// all schedulers: a worker kernel that advances virtual time, the event
+// loop (Run) that drives a scheduling policy on it, a schedule recorder
+// that keeps every execution attempt (including runs aborted by
 // spoliation), schedule validation, and the metrics used in the paper's
 // evaluation (makespan, per-class idle time with aborted work counted as
 // idle, and equivalent acceleration factors).
