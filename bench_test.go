@@ -204,11 +204,31 @@ func BenchmarkAreaBound(b *testing.B) {
 
 // BenchmarkHLPIndependent measures one tournament cell's HLP call: 120
 // log-normal tasks (mu ln 2, sigma 1, as the tournament draws them) on
-// 20+4. Nearly all of it is the allocation LP, so this is the benchgate's
-// probe for the simplex pivot cost.
+// 20+4. The allocation LP's optimum is a single point here, so the ρ-ordered
+// walk answers it without the simplex: this is the benchgate's probe for
+// the walk and the LPT list phase.
 func BenchmarkHLPIndependent(b *testing.B) {
 	in := workloads.LogNormalAccelInstance(120, math.Ln2, 1, rand.New(rand.NewSource(1)))
+	benchHLP(b, in, expr.PaperPlatform())
+}
+
+// BenchmarkHLPIndependentFallback is BenchmarkHLPIndependent's 120 tasks
+// plus one task whose min(p, q) is twice their area bound. That task sets
+// the LP optimum to max min(p, q), where the optimal face is wider than a
+// point, so HLP hands the LP to lp.Solve: this is the benchgate's probe for
+// the simplex pivot cost.
+func BenchmarkHLPIndependentFallback(b *testing.B) {
+	in := workloads.LogNormalAccelInstance(120, math.Ln2, 1, rand.New(rand.NewSource(1)))
 	pl := expr.PaperPlatform()
+	area, err := bounds.AreaBound(in, pl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in = append(in, platform.Task{ID: len(in), Name: "dominant", CPUTime: 2 * area, GPUTime: 2 * area})
+	benchHLP(b, in, pl)
+}
+
+func benchHLP(b *testing.B, in platform.Instance, pl platform.Platform) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,7 +5,7 @@
 //	subject to  A_i · x  (<=|=|>=)  b_i     for each row i
 //	            x >= 0
 //
-// It solves HLP's allocation LP on every call of that scheduler (package
+// It solves HLP's fallback instances and HLPDAG's allocation LP (package
 // sched), and AreaBoundLP in package bounds uses it to cross-check the
 // combinatorial area bound. Bland's rule picks every pivot: the smallest
 // eligible column, and the smallest basic index among tied ratios. That
