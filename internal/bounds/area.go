@@ -37,30 +37,71 @@ type AreaSolution struct {
 // Area computes the area bound of instance in on platform pl, together
 // with the witnessing fractional assignment.
 func Area(in platform.Instance, pl platform.Platform) (AreaSolution, error) {
-	if err := pl.Validate(); err != nil {
+	w, err := walk(in, pl)
+	if err != nil {
 		return AreaSolution{}, err
+	}
+	sol := AreaSolution{Bound: w.bound, CPUFraction: make(map[int]float64, len(in)), SplitAccel: math.NaN()}
+	if w.sorted == nil {
+		// Empty instance or one class: everything runs on the CPUs
+		// exactly when there are no GPUs.
+		x := 0.0
+		if pl.GPUs == 0 {
+			x = 1
+		}
+		for _, t := range in {
+			sol.CPUFraction[t.ID] = x
+		}
+		return sol, nil
+	}
+	for i, t := range w.sorted {
+		switch {
+		case i < w.split:
+			sol.CPUFraction[t.ID] = 0
+		case i == w.split:
+			sol.CPUFraction[t.ID] = 1 - w.gpuShare
+		default:
+			sol.CPUFraction[t.ID] = 1
+		}
+	}
+	if w.split < len(w.sorted) {
+		sol.SplitAccel = w.sorted[w.split].Accel()
+	}
+	return sol, nil
+}
+
+// areaWalk is the optimum Area reports, without the per-task map: the
+// bound and, on a two-class platform, where the acceleration-sorted
+// tasks split between the classes. sorted[:split] run on the GPUs,
+// sorted[split] runs gpuShare of itself there and the rest on the CPUs,
+// and sorted[split+1:] run on the CPUs. split == len(sorted) puts every
+// task on the GPUs. sorted is nil for an empty instance or a one-class
+// platform.
+type areaWalk struct {
+	bound    float64
+	sorted   platform.Instance
+	split    int
+	gpuShare float64
+}
+
+// walk validates its inputs and finds the area bound's optimum by the
+// walk of Lemmas 1 and 2.
+func walk(in platform.Instance, pl platform.Platform) (areaWalk, error) {
+	if err := pl.Validate(); err != nil {
+		return areaWalk{}, err
 	}
 	if err := in.Validate(); err != nil {
-		return AreaSolution{}, err
+		return areaWalk{}, err
 	}
-	sol := AreaSolution{CPUFraction: make(map[int]float64, len(in)), SplitAccel: math.NaN()}
 	if len(in) == 0 {
-		return sol, nil
+		return areaWalk{}, nil
 	}
 	m, n := float64(pl.CPUs), float64(pl.GPUs)
 	switch {
 	case pl.GPUs == 0:
-		for _, t := range in {
-			sol.CPUFraction[t.ID] = 1
-		}
-		sol.Bound = in.TotalTime(platform.CPU) / m
-		return sol, nil
+		return areaWalk{bound: in.TotalTime(platform.CPU) / m}, nil
 	case pl.CPUs == 0:
-		for _, t := range in {
-			sol.CPUFraction[t.ID] = 0
-		}
-		sol.Bound = in.TotalTime(platform.GPU) / n
-		return sol, nil
+		return areaWalk{bound: in.TotalTime(platform.GPU) / n}, nil
 	}
 
 	sorted := in.Clone()
@@ -90,35 +131,20 @@ func Area(in platform.Instance, pl platform.Platform) (AreaSolution, error) {
 			f = math.Min(f, 1)
 			gpuTime := (prefixQ + f*tk.GPUTime) / n
 			cpuTime := (suffixP[k+1] + (1-f)*tk.CPUTime) / m
-			sol.Bound = math.Max(gpuTime, cpuTime)
-			for i := 0; i < k; i++ {
-				sol.CPUFraction[sorted[i].ID] = 0
-			}
-			sol.CPUFraction[tk.ID] = 1 - f
-			for i := k + 1; i < len(sorted); i++ {
-				sol.CPUFraction[sorted[i].ID] = 1
-			}
-			sol.SplitAccel = tk.Accel()
-			return sol, nil
+			return areaWalk{bound: math.Max(gpuTime, cpuTime), sorted: sorted, split: k, gpuShare: f}, nil
 		}
 		prefixQ += tk.GPUTime
 	}
 	// Everything on the GPUs and they still finish before the (empty) CPUs
 	// would: bound is the full GPU load.
-	for _, t := range sorted {
-		sol.CPUFraction[t.ID] = 0
-	}
-	sol.Bound = prefixQ / n
-	return sol, nil
+	return areaWalk{bound: prefixQ / n, sorted: sorted, split: len(sorted)}, nil
 }
 
-// AreaBound returns only the bound value of Area.
+// AreaBound returns only the bound value of Area, without building its
+// per-task map.
 func AreaBound(in platform.Instance, pl platform.Platform) (float64, error) {
-	sol, err := Area(in, pl)
-	if err != nil {
-		return 0, err
-	}
-	return sol.Bound, nil
+	w, err := walk(in, pl)
+	return w.bound, err
 }
 
 // AreaBoundLP solves the Section 4.2 linear program directly with the

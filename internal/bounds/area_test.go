@@ -3,6 +3,7 @@ package bounds
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -252,5 +253,155 @@ func TestDAGLowerCycleError(t *testing.T) {
 	g.AddEdge(b, a)
 	if _, err := DAGLower(g, platform.NewPlatform(1, 1)); err == nil {
 		t.Error("cyclic graph should error")
+	}
+}
+
+// refArea is Area as it stood before AreaBound stopped building the
+// per-task map, kept verbatim except that the acceleration sort is the
+// reflection-based sort.SliceStable that Instance.SortByAccelDesc used
+// then.
+func refArea(in platform.Instance, pl platform.Platform) (AreaSolution, error) {
+	if err := pl.Validate(); err != nil {
+		return AreaSolution{}, err
+	}
+	if err := in.Validate(); err != nil {
+		return AreaSolution{}, err
+	}
+	sol := AreaSolution{CPUFraction: make(map[int]float64, len(in)), SplitAccel: math.NaN()}
+	if len(in) == 0 {
+		return sol, nil
+	}
+	m, n := float64(pl.CPUs), float64(pl.GPUs)
+	switch {
+	case pl.GPUs == 0:
+		for _, t := range in {
+			sol.CPUFraction[t.ID] = 1
+		}
+		sol.Bound = in.TotalTime(platform.CPU) / m
+		return sol, nil
+	case pl.CPUs == 0:
+		for _, t := range in {
+			sol.CPUFraction[t.ID] = 0
+		}
+		sol.Bound = in.TotalTime(platform.GPU) / n
+		return sol, nil
+	}
+
+	sorted := in.Clone()
+	sort.SliceStable(sorted, func(i, j int) bool {
+		return sorted[i].Accel() > sorted[j].Accel()
+	})
+	// Suffix sums of p (CPU work if the whole suffix runs on CPUs).
+	suffixP := make([]float64, len(sorted)+1)
+	for i := len(sorted) - 1; i >= 0; i-- {
+		suffixP[i] = suffixP[i+1] + sorted[i].CPUTime
+	}
+	// Walk the split point: GPU class receives tasks [0,k) entirely plus a
+	// fraction f of task k. Both class finish times are continuous and
+	// monotone in the walk, so the crossing exists and is the optimum.
+	var prefixQ float64
+	for k := 0; k < len(sorted); k++ {
+		tk := sorted[k]
+		// Fraction f of task k on GPU equalizing the two finish times:
+		// (prefixQ + f*q_k)/n == (suffixP[k+1] + (1-f)*p_k)/m.
+		f := (n*(suffixP[k+1]+tk.CPUTime) - m*prefixQ) / (m*tk.GPUTime + n*tk.CPUTime)
+		if f < -1e-12 {
+			// Crossing happened before this task: equalization impossible
+			// because GPU side is already too loaded; the bound is the GPU
+			// time with everything up to k-1 (cannot happen for k=0 since
+			// prefixQ=0). Clamp to f=0.
+			f = 0
+		}
+		if f <= 1+1e-12 {
+			f = math.Min(f, 1)
+			gpuTime := (prefixQ + f*tk.GPUTime) / n
+			cpuTime := (suffixP[k+1] + (1-f)*tk.CPUTime) / m
+			sol.Bound = math.Max(gpuTime, cpuTime)
+			for i := 0; i < k; i++ {
+				sol.CPUFraction[sorted[i].ID] = 0
+			}
+			sol.CPUFraction[tk.ID] = 1 - f
+			for i := k + 1; i < len(sorted); i++ {
+				sol.CPUFraction[sorted[i].ID] = 1
+			}
+			sol.SplitAccel = tk.Accel()
+			return sol, nil
+		}
+		prefixQ += tk.GPUTime
+	}
+	// Everything on the GPUs and they still finish before the (empty) CPUs
+	// would: bound is the full GPU load.
+	for _, t := range sorted {
+		sol.CPUFraction[t.ID] = 0
+	}
+	sol.Bound = prefixQ / n
+	return sol, nil
+}
+
+// sameBits compares bit patterns, so -0 and +0 differ and NaN equals
+// itself.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestAreaMatchesReference holds Area, AreaBound and Lower to refArea bit
+// for bit on seeded instances: one-class and two-class platforms, times
+// drawn from small integers (so acceleration factors tie), wide random
+// floats, subnormals, and values near the float64 maximum (so sums
+// overflow and the walk can run past every task).
+func TestAreaMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	times := []func() float64{
+		func() float64 { return float64(1 + rng.Intn(4)) },
+		func() float64 { return math.Exp(rng.Float64()*20 - 10) },
+		func() float64 { return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1000)) },
+		func() float64 { return math.MaxFloat64 / float64(1+rng.Intn(4)) },
+	}
+	var exhausted, split, oneClass int
+	for trial := 0; trial < 3000; trial++ {
+		m, n := rng.Intn(5), rng.Intn(4)
+		if m+n == 0 {
+			m = 1
+		}
+		pl := platform.NewPlatform(m, n)
+		in := make(platform.Instance, rng.Intn(14))
+		for i := range in {
+			in[i] = task(rng.Intn(1000)*len(in)+i, times[rng.Intn(len(times))](), times[rng.Intn(len(times))]())
+		}
+		want, err := refArea(in, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Area(in, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got.Bound, want.Bound) || !sameBits(got.SplitAccel, want.SplitAccel) {
+			t.Fatalf("trial %d (%v, %v): Area = %v split %v, reference %v split %v",
+				trial, pl, in, got.Bound, got.SplitAccel, want.Bound, want.SplitAccel)
+		}
+		if len(got.CPUFraction) != len(want.CPUFraction) {
+			t.Fatalf("trial %d: %d fractions, reference %d", trial, len(got.CPUFraction), len(want.CPUFraction))
+		}
+		for id, x := range want.CPUFraction {
+			if y, ok := got.CPUFraction[id]; !ok || !sameBits(x, y) {
+				t.Fatalf("trial %d: task %d fraction %v, reference %v", trial, id, y, x)
+			}
+		}
+		if ab, err := AreaBound(in, pl); err != nil || !sameBits(ab, want.Bound) {
+			t.Fatalf("trial %d: AreaBound = %v, %v; reference %v", trial, ab, err, want.Bound)
+		}
+		if lb, err := Lower(in, pl); err != nil || !sameBits(lb, math.Max(want.Bound, MaxMinBound(in))) {
+			t.Fatalf("trial %d: Lower = %v, %v; reference %v", trial, lb, err, math.Max(want.Bound, MaxMinBound(in)))
+		}
+		switch {
+		case pl.CPUs == 0 || pl.GPUs == 0:
+			oneClass++
+		case !math.IsNaN(want.SplitAccel):
+			split++
+		case len(in) > 0:
+			exhausted++
+		}
+	}
+	if exhausted == 0 || split == 0 || oneClass == 0 {
+		t.Errorf("corpus reached %d split, %d exhausted and %d one-class instances; each must be nonzero", split, exhausted, oneClass)
 	}
 }

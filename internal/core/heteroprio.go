@@ -337,6 +337,10 @@ type listState struct {
 	o   obs.Observer
 	eps float64
 
+	// victims holds the runs idle workers may spoliate; it is built
+	// only with spoliation enabled.
+	victims victimHeap
+
 	g *dag.Graph
 	// classReady[id][k] is the earliest instant task id may start on class
 	// k once ready (predecessor completion plus transfer delay when the
@@ -385,8 +389,12 @@ func victimBefore(a, b *sim.Running) bool {
 // noise the true End is not observable). Among the qualifying runs the
 // first in victimBefore order wins. Because that order is strict and
 // total, one pass picks exactly the run that sorting the candidates and
-// taking the first qualifying one would. The simulator and the live
-// runtime (package runtime) share this rule.
+// taking the first qualifying one would.
+//
+// PickVictim is the one statement of the rule. The live runtime (package
+// runtime) calls it on every attempt; the simulator keeps a victimHeap
+// instead, which FuzzVictimHeapMatchesPickVictim holds to it, so a
+// simulated attempt never scans the other class's runs.
 //
 //hplint:hotpath
 func PickVictim(victims []sim.Running, now float64, kind platform.Kind, eps float64) int {
@@ -400,25 +408,40 @@ func PickVictim(victims []sim.Running, now float64, kind platform.Kind, eps floa
 	return best
 }
 
+// start begins task t on idle worker w of class kind and records the run
+// as a spoliation candidate.
+//
+//hplint:hotpath
+func (s *listState) start(w int, kind platform.Kind, t platform.Task, spoliation bool) {
+	s.k.StartTimed(w, t, s.startDuration(t, kind), spoliation)
+	// The kernel's Running.EstEnd, computed the same way.
+	estEnd := s.k.Now + t.Time(kind)
+	if !s.opt.DisableSpoliation {
+		s.victims.start(w, kind, t, estEnd)
+	}
+	if s.o != nil {
+		s.o.TaskStarted(s.k.Now, w, kind, t, estEnd, spoliation)
+	}
+}
+
 // trySpoliate attempts a spoliation for idle worker w (queue known
 // empty). Returns true if a task was restarted on w.
 //
 //hplint:hotpath
 func (s *listState) trySpoliate(w int) bool {
 	kind := s.pl.KindOf(w)
-	victims := s.k.RunningOnShared(kind.Other())
-	i := PickVictim(victims, s.k.Now, kind, s.eps)
-	if i < 0 {
+	victim := s.victims.pick(kind, s.k.Now, s.eps)
+	if victim < 0 {
 		return false
 	}
-	v := victims[i]
-	s.k.Abort(v.Worker)
-	s.k.StartTimed(w, v.Task, s.startDuration(v.Task, kind), true)
+	v := s.k.RunOf(victim)
+	s.k.Abort(victim)
+	s.victims.remove(victim, kind.Other())
 	s.spoliations++
 	if s.o != nil {
-		s.o.TaskSpoliated(s.k.Now, v.Worker, w, v.Task, s.k.Now-v.Start)
-		s.o.TaskStarted(s.k.Now, w, kind, v.Task, s.k.Now+v.Task.Time(kind), true)
+		s.o.TaskSpoliated(s.k.Now, victim, w, v.Task, s.k.Now-v.Start)
 	}
+	s.start(w, kind, v.Task, true)
 	return true
 }
 
@@ -441,27 +464,13 @@ func (s *listState) release(t platform.Task) {
 func (s *listState) assign() error {
 	for {
 		changed := false
-		for _, w := range s.k.IdleWorkersShared(platform.GPU) {
-			if s.q.Len() == 0 {
-				break
-			}
-			t := s.q.PopFront()
-			s.k.StartTimed(w, t, s.startDuration(t, platform.GPU), false)
+		for w := s.k.NextIdle(platform.GPU, 0); w >= 0 && s.q.Len() > 0; w = s.k.NextIdle(platform.GPU, w+1) {
+			s.start(w, platform.GPU, s.q.PopFront(), false)
 			changed = true
-			if s.o != nil {
-				s.o.TaskStarted(s.k.Now, w, platform.GPU, t, s.k.Now+t.Time(platform.GPU), false)
-			}
 		}
-		for _, w := range s.k.IdleWorkersShared(platform.CPU) {
-			if s.q.Len() == 0 {
-				break
-			}
-			t := s.q.PopBack()
-			s.k.StartTimed(w, t, s.startDuration(t, platform.CPU), false)
+		for w := s.k.NextIdle(platform.CPU, 0); w >= 0 && s.q.Len() > 0; w = s.k.NextIdle(platform.CPU, w+1) {
+			s.start(w, platform.CPU, s.q.PopBack(), false)
 			changed = true
-			if s.o != nil {
-				s.o.TaskStarted(s.k.Now, w, platform.CPU, t, s.k.Now+t.Time(platform.CPU), false)
-			}
 		}
 		if s.q.Len() == 0 && !s.opt.DisableSpoliation {
 			// Whether an attempt finds a victim depends only on the
@@ -469,10 +478,7 @@ func (s *listState) assign() error {
 			// failed attempt changes none of them: after the first
 			// failure every later idle worker of the class fails too.
 			for _, kind := range kindOrder {
-				for _, w := range s.k.IdleWorkersShared(kind) {
-					if !s.trySpoliate(w) {
-						break
-					}
+				for w := s.k.NextIdle(kind, 0); w >= 0 && s.trySpoliate(w); w = s.k.NextIdle(kind, w+1) {
 					changed = true
 				}
 			}
@@ -500,11 +506,14 @@ func (s *listState) assign() error {
 //
 //hplint:hotpath
 func (s *listState) complete(run sim.Running) {
+	kind := s.pl.KindOf(run.Worker)
+	if !s.opt.DisableSpoliation {
+		s.victims.remove(run.Worker, kind)
+	}
 	if s.o != nil {
-		s.o.TaskCompleted(s.k.Now, run.Worker, s.pl.KindOf(run.Worker), run.Task, run.Start)
+		s.o.TaskCompleted(s.k.Now, run.Worker, kind, run.Task, run.Start)
 	}
 	if s.classReady != nil {
-		kind := s.pl.KindOf(run.Worker)
 		for _, succ := range s.g.Succs(run.Task.ID) {
 			if run.End > s.classReady[succ][kind] {
 				s.classReady[succ][kind] = run.End
@@ -532,6 +541,9 @@ func runList(src sim.Releases, pl platform.Platform, opt Options) (Result, error
 		eps:        opt.eps(),
 		g:          src.Graph,
 		tFirstIdle: math.Inf(1),
+	}
+	if !opt.DisableSpoliation {
+		s.victims = newVictimHeap(pl)
 	}
 	if s.g != nil && opt.TransferDelay > 0 {
 		s.classReady = make([][platform.NumKinds]float64, s.g.Len())

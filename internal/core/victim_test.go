@@ -135,3 +135,150 @@ func TestPickVictimMatchesSortFirstFit(t *testing.T) {
 		}
 	}
 }
+
+// FuzzVictimHeapMatchesPickVictim drives a victimHeap through starts,
+// completions, aborts and picks, and after every pick requires the worker
+// PickVictim returns over the live runs of the class picked from. A
+// picked run is then restarted on an idle worker of the picking class, as
+// trySpoliate does.
+//
+// The first byte sets eps (bit 0: 0 or DefaultEps), the CPUs (bits 1-3,
+// plus one) and the GPUs (bits 4-6, plus one). Each following byte is an
+// operation (low two bits) with an argument (the rest):
+//   - 0 starts a run on class arg&1, on its first idle worker at or after
+//     arg>>1 (cyclically), from the next byte: EstEnd is now plus its low
+//     three bits, or +Inf for 7, so EstEnds tie often; the priority is
+//     bits 3-7 mod 3; the time on the other class is (1 + bits 5-7)/2.
+//   - 1 completes the first busy worker at or after arg, cyclically, and
+//     advances now to the run's EstEnd if that is later and finite.
+//   - 2 aborts the first busy worker at or after arg, cyclically.
+//   - 3 advances now by arg>>1&3, then picks for the first idle worker of
+//     class arg&1, if it has one.
+//
+// now never decreases, as in sim.Run.
+func FuzzVictimHeapMatchesPickVictim(f *testing.F) {
+	// All EstEnds tied: the priority, then the task ID decide.
+	f.Add([]byte{0x14, 0x00, 0x03, 0x00, 0x0b, 0x00, 0x03, 0x07, 0x07})
+	// A run that fails at one pick and is still live at the next two, the
+	// second of them later; then it completes.
+	f.Add([]byte{0x13, 0x00, 0xe1, 0x00, 0x06, 0x07, 0x07, 0x0f, 0x01, 0x00, 0x05, 0x07})
+	// Picks right after pending batches, one of them on a nonempty heap.
+	f.Add([]byte{0x24, 0x04, 0x02, 0x04, 0x0d, 0x04, 0x45, 0x03, 0x04, 0x07, 0x00, 0x46, 0x03, 0x07})
+	// +Inf EstEnds, tied on EstEnd, beside a finite one; then an abort.
+	f.Add([]byte{0x15, 0x00, 0x07, 0x00, 0x0f, 0x00, 0x06, 0x07, 0x07, 0x0e, 0x07})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			t.Skip()
+		}
+		eps := 0.0
+		if data[0]&1 != 0 {
+			eps = DefaultEps
+		}
+		pl := platform.NewPlatform(1+int(data[0]>>1&7), 1+int(data[0]>>4&7))
+		nw := pl.Workers()
+		v := newVictimHeap(pl)
+		busy := make([]bool, nw)
+		runs := make([]sim.Running, nw)
+		now := 0.0
+		id := 0
+		// firstIdle returns the first idle worker of class kind at or
+		// after lo+hint, cyclically within the class, or -1.
+		firstIdle := func(kind platform.Kind, hint int) int {
+			lo, hi := pl.KindRange(kind)
+			for i := 0; i < hi-lo; i++ {
+				if w := lo + (hint+i)%(hi-lo); !busy[w] {
+					return w
+				}
+			}
+			return -1
+		}
+		firstBusy := func(from int) int {
+			for i := 0; i < nw; i++ {
+				if w := (from + i) % nw; busy[w] {
+					return w
+				}
+			}
+			return -1
+		}
+		start := func(w int, tk platform.Task, estEnd float64) {
+			kind := pl.KindOf(w)
+			busy[w] = true
+			runs[w] = sim.Running{Worker: w, Task: tk, Start: now, End: estEnd, EstEnd: estEnd}
+			v.start(w, kind, tk, estEnd)
+		}
+		stop := func(w int) {
+			busy[w] = false
+			v.remove(w, pl.KindOf(w))
+		}
+		var live []sim.Running
+		for op := 1; op < len(data) && op <= 4096; op++ {
+			b := data[op]
+			arg := int(b >> 2)
+			switch b & 3 {
+			case 0:
+				if op+1 == len(data) {
+					break
+				}
+				op++
+				spec := data[op]
+				kind := platform.Kind(arg & 1)
+				w := firstIdle(kind, arg>>1)
+				if w < 0 {
+					break
+				}
+				d := float64(spec & 7)
+				estEnd := now + d
+				if spec&7 == 7 {
+					estEnd = math.Inf(1)
+				}
+				tk := platform.Task{ID: id, Priority: float64(int(spec>>3) % 3)}
+				id++
+				own, other := &tk.CPUTime, &tk.GPUTime
+				if kind == platform.GPU {
+					own, other = other, own
+				}
+				*own, *other = d, float64(1+int(spec>>5))/2
+				start(w, tk, estEnd)
+			case 1:
+				if w := firstBusy(arg % nw); w >= 0 {
+					if e := runs[w].EstEnd; e > now && !math.IsInf(e, 1) {
+						now = e
+					}
+					stop(w)
+				}
+			case 2:
+				if w := firstBusy(arg % nw); w >= 0 {
+					stop(w)
+				}
+			case 3:
+				now += float64(arg >> 1 & 3)
+				kind := platform.Kind(arg & 1)
+				w := firstIdle(kind, 0)
+				if w < 0 {
+					break
+				}
+				live = live[:0]
+				lo, hi := pl.KindRange(kind.Other())
+				for u := lo; u < hi; u++ {
+					if busy[u] {
+						live = append(live, runs[u])
+					}
+				}
+				want := -1
+				if i := PickVictim(live, now, kind, eps); i >= 0 {
+					want = live[i].Worker
+				}
+				got := v.pick(kind, now, eps)
+				if got != want {
+					t.Fatalf("op %d: pick for %v at now %v (eps %v) = worker %d, PickVictim = worker %d over %+v",
+						op, kind, now, eps, got, want, live)
+				}
+				if got >= 0 {
+					tk := runs[got].Task
+					stop(got)
+					start(w, tk, now+tk.Time(kind))
+				}
+			}
+		}
+	})
+}

@@ -1,9 +1,10 @@
 package platform
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Instance is a set of independent tasks to be scheduled on a platform.
@@ -77,8 +78,8 @@ func (in Instance) MaxMinTime() float64 {
 // factor, preserving input order among ties. This is the HeteroPrio queue
 // order (Algorithm 1, line 1).
 func (in Instance) SortByAccelDesc() {
-	sort.SliceStable(in, func(i, j int) bool {
-		return in[i].Accel() > in[j].Accel()
+	slices.SortStableFunc(in, func(a, b Task) int {
+		return cmp.Compare(b.Accel(), a.Accel())
 	})
 }
 
@@ -88,15 +89,15 @@ func (in Instance) SortByAccelDesc() {
 // last when rho < 1 (so that the worker class that favors that end of the
 // queue picks urgent tasks first).
 func (in Instance) SortByAccelDescPrio() {
-	sort.SliceStable(in, func(i, j int) bool {
-		ai, aj := in[i].Accel(), in[j].Accel()
-		if ai != aj {
-			return ai > aj
+	slices.SortStableFunc(in, func(a, b Task) int {
+		ra, rb := a.Accel(), b.Accel()
+		if ra != rb {
+			return cmp.Compare(rb, ra)
 		}
-		if ai >= 1 {
-			return in[i].Priority > in[j].Priority
+		if ra >= 1 {
+			return cmp.Compare(b.Priority, a.Priority)
 		}
-		return in[i].Priority < in[j].Priority
+		return cmp.Compare(a.Priority, b.Priority)
 	})
 }
 

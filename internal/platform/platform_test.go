@@ -2,6 +2,8 @@ package platform
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -261,6 +263,47 @@ func TestSortByAccelDescPrio(t *testing.T) {
 	in2.SortByAccelDescPrio()
 	if in2[0].ID != 0 {
 		t.Errorf("rho<1 tie: got front ID %d, want 0", in2[0].ID)
+	}
+}
+
+// TestSortsMatchSliceStable holds both acceleration sorts to the
+// reflection-based sort.SliceStable they replaced, on seeded instances
+// where acceleration factors and priorities tie often and times reach the
+// subnormal range and the float64 maximum (so rho can be 0 or +Inf).
+func TestSortsMatchSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	times := []float64{1, 2, 4, math.SmallestNonzeroFloat64, math.MaxFloat64, 0.5}
+	prios := []float64{0, 1, 2, math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 2000; trial++ {
+		in := make(Instance, rng.Intn(40))
+		for i := range in {
+			in[i] = Task{ID: i, CPUTime: times[rng.Intn(len(times))], GPUTime: times[rng.Intn(len(times))], Priority: prios[rng.Intn(len(prios))]}
+		}
+		got, want := in.Clone(), in.Clone()
+		got.SortByAccelDesc()
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Accel() > want[j].Accel() })
+		for i := range want {
+			if got[i].ID != want[i].ID {
+				t.Fatalf("trial %d: SortByAccelDesc puts task %d at %d, sort.SliceStable task %d", trial, got[i].ID, i, want[i].ID)
+			}
+		}
+		got, want = in.Clone(), in.Clone()
+		got.SortByAccelDescPrio()
+		sort.SliceStable(want, func(i, j int) bool {
+			ai, aj := want[i].Accel(), want[j].Accel()
+			if ai != aj {
+				return ai > aj
+			}
+			if ai >= 1 {
+				return want[i].Priority > want[j].Priority
+			}
+			return want[i].Priority < want[j].Priority
+		})
+		for i := range want {
+			if got[i].ID != want[i].ID {
+				t.Fatalf("trial %d: SortByAccelDescPrio puts task %d at %d, sort.SliceStable task %d", trial, got[i].ID, i, want[i].ID)
+			}
+		}
 	}
 }
 

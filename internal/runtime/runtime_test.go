@@ -342,12 +342,31 @@ func TestRunManualClock(t *testing.T) {
 	}
 }
 
+// completedSignal closes done when the coordinator retires task id's
+// successful run.
+type completedSignal struct {
+	obs.Nop
+	id   int
+	done chan struct{}
+}
+
+func (c completedSignal) TaskCompleted(_ float64, _ int, _ platform.Kind, t platform.Task, _ float64) {
+	if t.ID == c.id {
+		close(c.done)
+	}
+}
+
 // TestRunSpoliatesByVictimRule pins the live coordinator to HeteroPrio's
 // victim rule (core.PickVictim) under a frozen clock on 1 CPU + 2 GPUs.
 // Both GPU runs end at the same estimated instant; the second has a
 // successor, so its min bottom level, and with it its priority, is the
 // higher one. When the CPU frees up with an empty queue it must cancel
 // that run: ordering tied victims by task ID would cancel the first.
+//
+// The restarted second task finishes on the CPU only once the coordinator
+// has retired the first task's GPU run. Otherwise the CPU could free up
+// again while the first run still looks busy to the frozen clock and
+// spoliate it too.
 func TestRunSpoliatesByVictimRule(t *testing.T) {
 	spoliated := make(chan struct{})
 	var once sync.Once
@@ -355,11 +374,19 @@ func TestRunSpoliatesByVictimRule(t *testing.T) {
 	// Unblock the GPU runs even if no spoliation ever comes, so a
 	// regression fails the assertions below instead of hanging.
 	defer time.AfterFunc(10*time.Second, signal).Stop()
+	const firstID = 0
+	firstDone := make(chan struct{})
 	gpuTask := func(name string) Task {
 		return Task{
 			Name: name, EstCPU: 1, EstGPU: 2,
 			Run: func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
 				if kind == platform.CPU {
+					if name == "second" {
+						select {
+						case <-firstDone:
+						case <-time.After(10 * time.Second):
+						}
+					}
 					return true, nil
 				}
 				for {
@@ -378,13 +405,16 @@ func TestRunSpoliatesByVictimRule(t *testing.T) {
 	}
 	done := func(platform.Kind, *cancel.Flag) (bool, error) { return true, nil }
 	g := NewGraph()
-	g.Add(gpuTask("first"))
+	if id := g.Add(gpuTask("first")); id != firstID {
+		t.Fatalf("first task has ID %d, want %d", id, firstID)
+	}
 	second := g.Add(gpuTask("second"))
 	g.Add(Task{Name: "cpu", EstCPU: 1, EstGPU: 100, Run: done})
 	succ := g.Add(Task{Name: "succ", EstCPU: 1, EstGPU: 1, Run: done})
 	g.AddDep(second, succ)
 	clk := clock.NewManual(time.Unix(0, 0))
-	rep, err := Run(g, Config{CPUWorkers: 1, GPUWorkers: 2, UsePriorities: true, Clock: clk})
+	o := completedSignal{id: firstID, done: firstDone}
+	rep, err := Run(g, Config{CPUWorkers: 1, GPUWorkers: 2, UsePriorities: true, Clock: clk, Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}

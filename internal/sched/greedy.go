@@ -73,14 +73,16 @@ func MCTDAGTimed(g *dag.Graph, pl platform.Platform, actual func(t platform.Task
 				}
 			}
 			t := ready[best]
-			// Idle worker with the earliest completion for t.
+			// Idle worker with the earliest completion for t: every
+			// idle worker of a class ends t at the same time, so only
+			// each class's first idle worker competes, CPUs first so
+			// that ties go to the CPU.
 			bw, bend := -1, math.Inf(1)
-			for w := 0; w < pl.Workers(); w++ {
-				if k.Busy(w) {
-					continue
-				}
-				if end := k.Now + t.Time(pl.KindOf(w)); end < bend {
-					bw, bend = w, end
+			for _, kind := range [...]platform.Kind{platform.CPU, platform.GPU} {
+				if w := k.NextIdle(kind, 0); w >= 0 {
+					if end := k.Now + t.Time(kind); end < bend {
+						bw, bend = w, end
+					}
 				}
 			}
 			if bw < 0 {

@@ -35,20 +35,23 @@ func ReplayAssignment(g *dag.Graph, pl platform.Platform, assign []int, rank []f
 		w := assign[t.ID]
 		readyOn[w] = append(readyOn[w], t)
 	}
+	// round visits the idle workers in index order: CPUs, then GPUs.
 	round := func(k *sim.Kernel) error {
-		for w := range readyOn {
-			if k.Busy(w) || len(readyOn[w]) == 0 {
-				continue
-			}
-			best := 0
-			for i := 1; i < len(readyOn[w]); i++ {
-				if rank[readyOn[w][i].ID] > rank[readyOn[w][best].ID] {
-					best = i
+		for _, kind := range [...]platform.Kind{platform.CPU, platform.GPU} {
+			for w := k.NextIdle(kind, 0); w >= 0; w = k.NextIdle(kind, w+1) {
+				if len(readyOn[w]) == 0 {
+					continue
 				}
+				best := 0
+				for i := 1; i < len(readyOn[w]); i++ {
+					if rank[readyOn[w][i].ID] > rank[readyOn[w][best].ID] {
+						best = i
+					}
+				}
+				t := readyOn[w][best]
+				readyOn[w] = append(readyOn[w][:best], readyOn[w][best+1:]...)
+				k.StartTimed(w, t, actual(t, kind), false)
 			}
-			t := readyOn[w][best]
-			readyOn[w] = append(readyOn[w][:best], readyOn[w][best+1:]...)
-			k.StartTimed(w, t, actual(t, pl.KindOf(w)), false)
 		}
 		return nil
 	}

@@ -121,7 +121,7 @@ type picker func(w int, kind platform.Kind) (t platform.Task, ok bool)
 func pickRound(pick picker, actual func(platform.Task, platform.Kind) float64) func(k *sim.Kernel) error {
 	return func(k *sim.Kernel) error {
 		for _, kind := range [...]platform.Kind{platform.GPU, platform.CPU} {
-			for _, w := range k.IdleWorkersShared(kind) {
+			for w := k.NextIdle(kind, 0); w >= 0; w = k.NextIdle(kind, w+1) {
 				t, ok := pick(w, kind)
 				if !ok {
 					break

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/platform"
 )
@@ -29,13 +30,17 @@ type Running struct {
 // occupancy, advances virtual time to completion events, and records every
 // execution attempt into a Schedule. Scheduling policies (HeteroPrio,
 // DualHP, ...) sit on top, driven by Run, and decide which task each idle
-// worker starts.
+// worker starts. Start, Abort and completion keep an idle bitset and a
+// completion heap up to date, so neither a decision round (NextIdle) nor
+// an event (CompleteNext) scans the platform.
 type Kernel struct {
 	P   platform.Platform
 	Now float64
 
-	busy  []bool
-	runs  []Running // valid when busy[w]
+	// idle is a bitset over the workers: bit w%64 of idle[w/64] is set
+	// while worker w is idle. Bits past the last worker stay clear.
+	idle  []uint64
+	runs  []Running // runs[w] is valid while worker w is busy
 	entry []int     // index into sched.Entries for the active run
 	sched *Schedule
 	nBusy int
@@ -49,30 +54,29 @@ type Kernel struct {
 	heap  []int
 	pos   []int
 	nHeap int
-
-	// Scratch buffers behind RunningOnShared/IdleWorkersShared: sized to
-	// the worker count once, filled by index, never grown — the event
-	// loops query occupancy every decision round and must not allocate.
-	runScratch  []Running
-	idleScratch []int
 }
 
 // NewKernel returns a kernel at time zero with all workers idle.
 func NewKernel(pl platform.Platform) *Kernel {
 	n := pl.Workers()
-	// entry, idleScratch, heap and pos share one allocation.
-	ints := make([]int, 4*n)
-	return &Kernel{
-		P:           pl,
-		busy:        make([]bool, n),
-		runs:        make([]Running, n),
-		entry:       ints[0*n : 1*n : 1*n],
-		heap:        ints[1*n : 2*n : 2*n],
-		pos:         ints[2*n : 3*n : 3*n],
-		idleScratch: ints[3*n : 4*n : 4*n],
-		sched:       &Schedule{Platform: pl},
-		runScratch:  make([]Running, n),
+	// entry, heap and pos share one allocation.
+	ints := make([]int, 3*n)
+	k := &Kernel{
+		P:     pl,
+		idle:  make([]uint64, (n+63)/64),
+		runs:  make([]Running, n),
+		entry: ints[0*n : 1*n : 1*n],
+		heap:  ints[1*n : 2*n : 2*n],
+		pos:   ints[2*n : 3*n : 3*n],
+		sched: &Schedule{Platform: pl},
 	}
+	for i := range k.idle {
+		k.idle[i] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		k.idle[len(k.idle)-1] = 1<<r - 1
+	}
+	return k
 }
 
 // Schedule returns the trace recorded so far. It remains owned by the
@@ -80,53 +84,48 @@ func NewKernel(pl platform.Platform) *Kernel {
 func (k *Kernel) Schedule() *Schedule { return k.sched }
 
 // Busy reports whether worker w is currently executing a task.
-func (k *Kernel) Busy(w int) bool { return k.busy[w] }
+func (k *Kernel) Busy(w int) bool { return k.idle[w>>6]&(1<<(w&63)) == 0 }
 
 // NumBusy returns the number of busy workers.
 func (k *Kernel) NumBusy() int { return k.nBusy }
 
-// RunningOnShared returns the runs currently active on workers of class
-// kind, in increasing worker order. It does not allocate: the returned
-// slice aliases a kernel-owned scratch buffer and is overwritten by the
-// next call. Callers may reorder it in place but must not retain it
-// across kernel calls.
-//
-//hplint:hotpath
-func (k *Kernel) RunningOnShared(kind platform.Kind) []Running {
-	lo, hi := k.P.KindRange(kind)
-	n := 0
-	for w := lo; w < hi; w++ {
-		if k.busy[w] {
-			k.runScratch[n] = k.runs[w]
-			n++
-		}
-	}
-	return k.runScratch[:n]
-}
-
 // RunOf returns the active run on worker w; it panics if w is idle.
 func (k *Kernel) RunOf(w int) Running {
-	if !k.busy[w] {
+	if !k.Busy(w) {
 		panic(fmt.Sprintf("sim: worker %d is idle", w))
 	}
 	return k.runs[w]
 }
 
-// IdleWorkersShared returns the idle workers of class kind in increasing
-// index order. It does not allocate: the returned slice aliases a
-// kernel-owned scratch buffer and is overwritten by the next call.
+// NextIdle returns the first idle worker of class kind at index from or
+// later, or -1 if there is none. It reads the idle bitset a word at a
+// time, so it costs O(1 + words skipped), and
+//
+//	for w := k.NextIdle(kind, 0); w >= 0; w = k.NextIdle(kind, w+1)
+//
+// walks a class's idle workers in increasing index order, skipping busy
+// workers 64 at a time.
 //
 //hplint:hotpath
-func (k *Kernel) IdleWorkersShared(kind platform.Kind) []int {
+func (k *Kernel) NextIdle(kind platform.Kind, from int) int {
 	lo, hi := k.P.KindRange(kind)
-	n := 0
-	for w := lo; w < hi; w++ {
-		if !k.busy[w] {
-			k.idleScratch[n] = w
-			n++
-		}
+	from = max(from, lo)
+	if from >= hi {
+		return -1
 	}
-	return k.idleScratch[:n]
+	i := from >> 6
+	word := k.idle[i] &^ (1<<(from&63) - 1)
+	for word == 0 {
+		i++
+		if i<<6 >= hi {
+			return -1
+		}
+		word = k.idle[i]
+	}
+	if w := i<<6 + bits.TrailingZeros64(word); w < hi {
+		return w
+	}
+	return -1
 }
 
 // Start begins executing task t on idle worker w at the current time,
@@ -140,12 +139,12 @@ func (k *Kernel) Start(w int, t platform.Task, spoliation bool) {
 // (estimation-noise experiments). The recorded entry and the completion
 // event use the actual duration; Running.EstEnd keeps the nominal one.
 func (k *Kernel) StartTimed(w int, t platform.Task, actual float64, spoliation bool) {
-	if k.busy[w] {
+	if k.Busy(w) {
 		panic(fmt.Sprintf("sim: worker %d already busy with task %d", w, k.runs[w].Task.ID))
 	}
 	kind := k.P.KindOf(w)
 	end := k.Now + actual
-	k.busy[w] = true
+	k.idle[w>>6] &^= 1 << (w & 63)
 	k.nBusy++
 	k.runs[w] = Running{
 		Worker: w, Task: t, Start: k.Now, End: end,
@@ -173,14 +172,13 @@ func (k *Kernel) StartTimed(w int, t platform.Task, actual float64, spoliation b
 // The recorded entry is truncated and marked aborted; the worker becomes
 // idle immediately. It returns the aborted task.
 func (k *Kernel) Abort(w int) platform.Task {
-	if !k.busy[w] {
+	if !k.Busy(w) {
 		panic(fmt.Sprintf("sim: abort on idle worker %d", w))
 	}
 	e := &k.sched.Entries[k.entry[w]]
 	e.End = k.Now
 	e.Aborted = true
-	k.busy[w] = false
-	k.nBusy--
+	k.setIdle(w)
 	if k.runs[w].End < math.Inf(1) {
 		k.heapRemove(k.pos[w])
 	}
@@ -209,9 +207,14 @@ func (k *Kernel) CompleteNext() (Running, bool) {
 	w := k.heap[0]
 	k.heapRemove(0)
 	k.Now = k.runs[w].End
-	k.busy[w] = false
-	k.nBusy--
+	k.setIdle(w)
 	return k.runs[w], true
+}
+
+// setIdle frees worker w.
+func (k *Kernel) setIdle(w int) {
+	k.idle[w>>6] |= 1 << (w & 63)
+	k.nBusy--
 }
 
 // completesBefore reports whether worker a's run completes before worker

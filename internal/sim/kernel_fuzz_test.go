@@ -84,27 +84,43 @@ func kernelDuration(b byte) float64 {
 	return float64(b & 7)
 }
 
+// kernelPlatform decodes the platform byte: CPUs in the low three bits,
+// GPUs in the next three, and the top two bits add 57 to the CPUs (bit
+// 6) and to the GPUs (bit 7). The small shapes fit in one word of the
+// idle bitset; the wide ones put the class boundary or the last worker
+// inside a word or exactly on a word's edge, as 63+2 (0x56), 64+1 (0x4f)
+// and 64+64 (0xff) do.
+func kernelPlatform(b byte) platform.Platform {
+	cpus, gpus := int(b&7), int(b>>3&7)
+	if b&0x40 != 0 {
+		cpus += 57
+	}
+	if b&0x80 != 0 {
+		gpus += 57
+	}
+	if cpus+gpus == 0 {
+		cpus = 1
+	}
+	return platform.NewPlatform(cpus, gpus)
+}
+
 // FuzzKernelCompletionOrder drives Kernel and refKernel through the same
 // interleaving of StartTimed, Abort, CompleteNext and NextCompletion and
 // requires the same completed runs and next completion times, and the
-// same Now and worker occupancy after every operation. The first byte is
-// the platform (CPUs in the low three bits, GPUs in the next three). Each
-// following byte is an operation (low two bits) with a worker argument
-// (the rest): 0 starts a task on the first idle worker at or after the
-// argument, with the duration kernelDuration decodes from the next byte;
-// 1 aborts the first busy worker at or after the argument; 2 completes
-// the next run; 3 reads the next completion time. The kernel is then
-// drained, reading the next completion time before each completion.
+// same Now, worker occupancy and NextIdle answers after every operation.
+// The first byte is the platform (kernelPlatform). Each following byte is
+// an operation (low two bits) with a worker argument (the rest): 0 starts
+// a task on the first idle worker at or after the argument, with the
+// duration kernelDuration decodes from the next byte; 1 aborts the first
+// busy worker at or after the argument; 2 completes the next run; 3 reads
+// the next completion time. The kernel is then drained, reading the next
+// completion time before each completion.
 func FuzzKernelCompletionOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			t.Skip()
 		}
-		cpus, gpus := int(data[0]&7), int(data[0]>>3&7)
-		if cpus+gpus == 0 {
-			cpus = 1
-		}
-		pl := platform.NewPlatform(cpus, gpus)
+		pl := kernelPlatform(data[0])
 		nw := pl.Workers()
 		k, ref := NewKernel(pl), newRefKernel(pl)
 		// find returns the first worker at or after w, cyclically, whose
@@ -132,6 +148,9 @@ func FuzzKernelCompletionOrder(f *testing.F) {
 				t.Fatalf("op %d: NextCompletion() = %v, reference %v", op, got, want)
 			}
 		}
+		// want[w] is the first idle worker at or after w, by a backward
+		// scan of the reference occupancy, before clamping to a class.
+		want := make([]int, nw+1)
 		check := func(op int) {
 			t.Helper()
 			if !sameFloat(k.Now, ref.now) {
@@ -140,6 +159,25 @@ func FuzzKernelCompletionOrder(f *testing.F) {
 			for w := 0; w < nw; w++ {
 				if k.Busy(w) != ref.busy[w] {
 					t.Fatalf("op %d: Busy(%d) = %v, reference %v", op, w, k.Busy(w), ref.busy[w])
+				}
+			}
+			want[nw] = -1
+			for w := nw - 1; w >= 0; w-- {
+				want[w] = want[w+1]
+				if !ref.busy[w] {
+					want[w] = w
+				}
+			}
+			for kind := range platform.NumKinds {
+				lo, hi := pl.KindRange(platform.Kind(kind))
+				for from := 0; from <= nw; from++ {
+					exp := want[max(from, lo)]
+					if from >= hi || exp >= hi {
+						exp = -1
+					}
+					if got := k.NextIdle(platform.Kind(kind), from); got != exp {
+						t.Fatalf("op %d: NextIdle(%v, %d) = %d, reference %d", op, platform.Kind(kind), from, got, exp)
+					}
 				}
 			}
 		}

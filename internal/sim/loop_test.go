@@ -21,10 +21,7 @@ func (f *fifo) release(t platform.Task) { f.queue = append(f.queue, t) }
 
 func (f *fifo) assign() error {
 	f.rounds = append(f.rounds, f.k.Now)
-	for _, w := range f.k.IdleWorkersShared(platform.CPU) {
-		if len(f.queue) == 0 {
-			break
-		}
+	for w := f.k.NextIdle(platform.CPU, 0); w >= 0 && len(f.queue) > 0; w = f.k.NextIdle(platform.CPU, w+1) {
 		f.k.Start(w, f.queue[0], false)
 		f.queue = f.queue[1:]
 	}

@@ -16,7 +16,7 @@ func task(id int, p, q float64) platform.Task {
 func TestKernelStartComplete(t *testing.T) {
 	pl := platform.NewPlatform(1, 1)
 	k := NewKernel(pl)
-	if k.NumBusy() != 0 || len(k.IdleWorkersShared(platform.CPU)) != 1 {
+	if k.NumBusy() != 0 || k.NextIdle(platform.CPU, 0) != 0 || k.NextIdle(platform.CPU, 1) != -1 {
 		t.Fatal("fresh kernel state wrong")
 	}
 	k.Start(0, task(0, 5, 1), false) // CPU run, 5 units
@@ -51,19 +51,32 @@ func TestKernelRunningAndRunOf(t *testing.T) {
 	k := NewKernel(pl)
 	k.Start(0, task(0, 3, 1), false)
 	k.Start(2, task(1, 7, 4), true)
-	cpuRuns := k.RunningOnShared(platform.CPU)
-	if len(cpuRuns) != 1 || cpuRuns[0].Task.ID != 0 {
-		t.Fatalf("RunningOnShared(CPU) = %v", cpuRuns)
+	runsOn := func(kind platform.Kind) []Running {
+		var runs []Running
+		lo, hi := pl.KindRange(kind)
+		for w := lo; w < hi; w++ {
+			if k.Busy(w) {
+				runs = append(runs, k.RunOf(w))
+			}
+		}
+		return runs
 	}
-	gpuRuns := k.RunningOnShared(platform.GPU)
+	cpuRuns := runsOn(platform.CPU)
+	if len(cpuRuns) != 1 || cpuRuns[0].Task.ID != 0 {
+		t.Fatalf("CPU runs = %v", cpuRuns)
+	}
+	gpuRuns := runsOn(platform.GPU)
 	if len(gpuRuns) != 1 || !gpuRuns[0].Spoliation {
-		t.Fatalf("RunningOnShared(GPU) = %v", gpuRuns)
+		t.Fatalf("GPU runs = %v", gpuRuns)
 	}
 	if k.RunOf(2).End != 4 {
 		t.Fatalf("RunOf(2).End = %v, want 4", k.RunOf(2).End)
 	}
-	if got := k.IdleWorkersShared(platform.CPU); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("IdleWorkersShared(CPU) = %v", got)
+	if w := k.NextIdle(platform.CPU, 0); w != 1 || k.NextIdle(platform.CPU, w+1) != -1 {
+		t.Fatalf("idle CPUs start at %d, want only worker 1", w)
+	}
+	if w := k.NextIdle(platform.GPU, 0); w != -1 {
+		t.Fatalf("NextIdle(GPU, 0) = %d, want -1", w)
 	}
 }
 
