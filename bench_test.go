@@ -319,6 +319,42 @@ func BenchmarkScheduleDAGZoo(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleValidate measures sim.Schedule.Validate, which checks
+// every schedule the tournament, hpserve and the figures produce:
+// "indep-10k" is a HeteroPrio schedule of 10⁴ log-normal tasks on 20+4,
+// "lu-16-wide" HeteroPrio-min on LU N=16 at 120+24, whose 869 aborted
+// runs each need their spoliation restart found.
+func BenchmarkScheduleValidate(b *testing.B) {
+	in := workloads.LogNormalAccelInstance(10000, math.Ln2, 1, rand.New(rand.NewSource(5)))
+	res, err := core.ScheduleIndependent(in, platform.NewPlatform(20, 4), core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lu := workloads.LU(16)
+	luSched, err := expr.RunDAG("HeteroPrio-min", lu, platform.NewPlatform(120, 24))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		s    *sim.Schedule
+		in   platform.Instance
+		g    *dag.Graph
+	}{
+		{"indep-10k", res.Schedule, in, nil},
+		{"lu-16-wide", luSched, lu.Tasks(), lu},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.s.Validate(bc.in, bc.g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkScheduleOnline measures HeteroPrio with release dates: the QR
 // N=16 task set released in batches of 64 every 2 time units on 120+24,
 // so workers drain each batch and spoliate between arrivals.

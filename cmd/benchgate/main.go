@@ -27,10 +27,10 @@ import (
 // gatedBenchmarks is the -bench regexp for the gate: the scheduler fast
 // paths, the area bound, HLP's allocation walk and its lp.Solve fallback,
 // the DAG path on a narrow and a wide platform, the zoo's DAG policies and
-// HeteroPrio's online arrivals on the shared event loop, the pool scaling
-// bench, and the shard-routing hot paths (ring lookup and candidate
-// ordering).
-const gatedBenchmarks = "^(BenchmarkScheduleIndependent|BenchmarkScheduleIndependentZoo|BenchmarkScheduleIndependentScaling|BenchmarkAreaBound|BenchmarkHLPIndependent|BenchmarkHLPIndependentFallback|BenchmarkScheduleDAGCholesky|BenchmarkScheduleDAGWide|BenchmarkScheduleDAGZoo|BenchmarkScheduleOnline|BenchmarkHDRRecord|BenchmarkSpanStartEnd|BenchmarkRingLookup|BenchmarkRouterCandidates)$"
+// HeteroPrio's online arrivals on the shared event loop, schedule
+// validation, the pool scaling bench, and the shard-routing hot paths
+// (ring lookup and candidate ordering).
+const gatedBenchmarks = "^(BenchmarkScheduleIndependent|BenchmarkScheduleIndependentZoo|BenchmarkScheduleIndependentScaling|BenchmarkAreaBound|BenchmarkHLPIndependent|BenchmarkHLPIndependentFallback|BenchmarkScheduleDAGCholesky|BenchmarkScheduleDAGWide|BenchmarkScheduleDAGZoo|BenchmarkScheduleOnline|BenchmarkScheduleValidate|BenchmarkHDRRecord|BenchmarkSpanStartEnd|BenchmarkRingLookup|BenchmarkRouterCandidates)$"
 
 func main() {
 	var (

@@ -172,46 +172,127 @@ func TestScheduleMetrics(t *testing.T) {
 func TestValidateCatchesBadSchedules(t *testing.T) {
 	pl := platform.NewPlatform(1, 1)
 	in := platform.Instance{task(0, 4, 1), task(1, 2, 1)}
+	validate := func(s *Schedule, in platform.Instance) error { return s.Validate(in, nil) }
+	relaxed := func(s *Schedule, in platform.Instance) error { return s.ValidateRelaxed(in, nil) }
+	// Under this duration model every run takes three times its nominal
+	// class time.
+	timed := func(s *Schedule, in platform.Instance) error {
+		return s.ValidateTimed(in, nil, func(t platform.Task, k platform.Kind) float64 { return 3 * t.Time(k) })
+	}
 	cases := []struct {
 		name    string
+		in      platform.Instance // nil means in
+		check   func(*Schedule, platform.Instance) error
 		entries []Entry
+		want    string // "" means valid
 	}{
-		{"bad worker", []Entry{{TaskID: 0, Worker: 9, Kind: platform.GPU, Start: 0, End: 1}}},
-		{"kind mismatch", []Entry{{TaskID: 0, Worker: 0, Kind: platform.GPU, Start: 0, End: 1}}},
-		{"unknown task", []Entry{{TaskID: 7, Worker: 1, Kind: platform.GPU, Start: 0, End: 1}}},
-		{"wrong duration", []Entry{
+		{"bad worker", nil, validate, []Entry{{TaskID: 0, Worker: 9, Kind: platform.GPU, Start: 0, End: 1}},
+			"sim: entry 0: worker 9 out of range"},
+		{"kind mismatch", nil, validate, []Entry{{TaskID: 0, Worker: 0, Kind: platform.GPU, Start: 0, End: 1}},
+			"sim: entry 0: kind GPU does not match worker 0 (CPU)"},
+		{"unknown task", nil, validate, []Entry{{TaskID: 7, Worker: 1, Kind: platform.GPU, Start: 0, End: 1}},
+			"sim: entry 0: unknown task 7"},
+		{"wrong duration", nil, validate, []Entry{
 			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 0, End: 3},
 			{TaskID: 1, Worker: 0, Kind: platform.CPU, Start: 0, End: 2},
-		}},
-		{"missing task", []Entry{{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 0, End: 1}}},
-		{"double success", []Entry{
+		}, "sim: entry 0: task 0 duration 3, want 1 on GPU"},
+		{"missing task", nil, validate, []Entry{{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 0, End: 1}},
+			"sim: task 1 has no successful run"},
+		{"double success", nil, validate, []Entry{
 			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 0, End: 1},
 			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 1, End: 2},
 			{TaskID: 1, Worker: 0, Kind: platform.CPU, Start: 0, End: 2},
-		}},
-		{"overlap", []Entry{
+		}, "sim: task 0 has two successful runs ({0 1 GPU 0 1 false false} and {0 1 GPU 1 2 false false})"},
+		{"overlap", nil, validate, []Entry{
 			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 0, End: 1},
 			{TaskID: 1, Worker: 1, Kind: platform.GPU, Start: 0.5, End: 1.5},
-		}},
-		{"negative start", []Entry{
+		}, "sim: worker 1: overlapping runs of tasks 0 and 1"},
+		{"negative start", nil, validate, []Entry{
 			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: -1, End: 0},
 			{TaskID: 1, Worker: 0, Kind: platform.CPU, Start: 0, End: 2},
-		}},
-		{"aborted too long", []Entry{
+		}, "sim: entry 0: bad interval [-1,0]"},
+		{"aborted too long", nil, validate, []Entry{
 			{TaskID: 0, Worker: 0, Kind: platform.CPU, Start: 0, End: 6, Aborted: true},
 			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 6, End: 7},
 			{TaskID: 1, Worker: 0, Kind: platform.CPU, Start: 6, End: 8},
-		}},
-		{"aborted after success", []Entry{
+		}, "sim: entry 0: aborted run of task 0 longer (6) than full time 4"},
+		{"aborted after success", nil, validate, []Entry{
 			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 0, End: 1},
 			{TaskID: 0, Worker: 0, Kind: platform.CPU, Start: 0, End: 2, Aborted: true},
 			{TaskID: 1, Worker: 0, Kind: platform.CPU, Start: 2, End: 4},
-		}},
+		}, "sim: task 0 aborted at 2 after its successful completion 1"},
+		// Sparse IDs go through the map; 3 is inside [0, len(in)) but
+		// absent, 9 is past it.
+		{"sparse IDs", platform.Instance{task(1000, 4, 1), task(2, 2, 1)}, validate, []Entry{
+			{TaskID: 1000, Worker: 1, Kind: platform.GPU, Start: 0, End: 1},
+			{TaskID: 2, Worker: 0, Kind: platform.CPU, Start: 0, End: 2},
+		}, ""},
+		{"sparse unknown in range", platform.Instance{task(1000, 4, 1), task(2, 2, 1)}, validate, []Entry{
+			{TaskID: 1, Worker: 1, Kind: platform.GPU, Start: 0, End: 1},
+		}, "sim: entry 0: unknown task 1"},
+		{"sparse unknown past range", platform.Instance{task(1000, 4, 1), task(2, 2, 1)}, validate, []Entry{
+			{TaskID: 1000, Worker: 1, Kind: platform.GPU, Start: 0, End: 1},
+			{TaskID: 9, Worker: 0, Kind: platform.CPU, Start: 0, End: 2},
+		}, "sim: entry 1: unknown task 9"},
+		{"negative IDs", platform.Instance{task(-5, 4, 1), task(-1, 2, 1)}, validate, []Entry{
+			{TaskID: -5, Worker: 1, Kind: platform.GPU, Start: 0, End: 1},
+			{TaskID: -1, Worker: 0, Kind: platform.CPU, Start: 0, End: 3},
+		}, "sim: entry 1: task -1 duration 3, want 2 on CPU"},
+		{"negative ID missing", platform.Instance{task(-5, 4, 1), task(-1, 2, 1)}, validate, []Entry{
+			{TaskID: -1, Worker: 0, Kind: platform.CPU, Start: 0, End: 2},
+		}, "sim: task -5 has no successful run"},
+		// With duplicate IDs the last task wins, as in Instance.ByID.
+		{"duplicate ID last wins", platform.Instance{task(0, 4, 1), task(0, 2, 3)}, validate, []Entry{
+			{TaskID: 0, Worker: 0, Kind: platform.CPU, Start: 0, End: 2},
+		}, ""},
+		{"duplicate ID first loses", platform.Instance{task(0, 4, 1), task(0, 2, 3)}, validate, []Entry{
+			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 0, End: 1},
+		}, "sim: entry 0: task 0 duration 1, want 3 on GPU"},
+		// A successful run may run long under ValidateRelaxed, never short.
+		{"relaxed longer", nil, relaxed, []Entry{
+			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 0, End: 2.5},
+			{TaskID: 1, Worker: 0, Kind: platform.CPU, Start: 0, End: 2},
+		}, ""},
+		{"relaxed shorter", nil, relaxed, []Entry{
+			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 0, End: 0.5},
+			{TaskID: 1, Worker: 0, Kind: platform.CPU, Start: 0, End: 2},
+		}, "sim: entry 0: task 0 duration 0.5, want 1 on GPU"},
+		// ValidateTimed checks durations, and aborted runs, against the
+		// model's times; the profit rule keeps the nominal ones.
+		{"timed", nil, timed, []Entry{
+			{TaskID: 0, Worker: 0, Kind: platform.CPU, Start: 0, End: 1, Aborted: true},
+			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 1, End: 4, Spoliation: true},
+			{TaskID: 1, Worker: 0, Kind: platform.CPU, Start: 1, End: 7},
+		}, ""},
+		{"timed nominal duration", nil, timed, []Entry{
+			{TaskID: 0, Worker: 1, Kind: platform.GPU, Start: 0, End: 3},
+			{TaskID: 1, Worker: 0, Kind: platform.CPU, Start: 0, End: 2},
+		}, "sim: entry 1: task 1 duration 2, want 6 on CPU"},
+		{"timed aborted too long", nil, timed, []Entry{
+			{TaskID: 0, Worker: 0, Kind: platform.CPU, Start: 0, End: 13, Aborted: true},
+		}, "sim: entry 0: aborted run of task 0 longer (13) than full time 12"},
 	}
 	for _, c := range cases {
 		s := &Schedule{Platform: pl, Entries: c.entries}
-		if err := s.Validate(in, nil); err == nil {
-			t.Errorf("%s: expected validation error", c.name)
+		cin := c.in
+		if cin == nil {
+			cin = in
+		}
+		err := c.check(s, cin)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: valid schedule rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || err.Error() != c.want):
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+	// With several tasks missing, the error names the first of in, on
+	// every call.
+	three := platform.Instance{task(2, 1, 1), task(0, 1, 1), task(1, 1, 1)}
+	s := &Schedule{Platform: pl, Entries: []Entry{{TaskID: 1, Worker: 0, Kind: platform.CPU, Start: 0, End: 1}}}
+	for i := 0; i < 20; i++ {
+		if err := s.Validate(three, nil); err == nil || err.Error() != "sim: task 2 has no successful run" {
+			t.Fatalf("call %d: error %v, want task 2 named first", i, err)
 		}
 	}
 }
@@ -302,6 +383,16 @@ func TestValidateDAGDependencies(t *testing.T) {
 	}}
 	if err := bad.Validate(g.Tasks(), g); err == nil {
 		t.Error("dependency violation not detected")
+	}
+	// A task of in that the graph lacks is an error, not an index panic.
+	in := append(g.Tasks().Clone(), task(7, 1, 1))
+	outside := &Schedule{Platform: pl, Entries: []Entry{
+		{TaskID: a, Worker: 0, Kind: platform.CPU, Start: 0, End: 1},
+		{TaskID: b, Worker: 1, Kind: platform.CPU, Start: 1, End: 2},
+		{TaskID: 7, Worker: 0, Kind: platform.CPU, Start: 2, End: 3},
+	}}
+	if err := outside.Validate(in, g); err == nil || err.Error() != "sim: entry 2: task 7 is not in the graph" {
+		t.Errorf("task outside the graph: error %v", err)
 	}
 }
 
