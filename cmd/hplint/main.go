@@ -1,14 +1,16 @@
 // Command hplint runs the repository's static-analysis suite
 // (internal/analysis) over every package in the module and exits non-zero
 // on any diagnostic. It is the machine check behind the invariants the
-// paper's guarantees rest on: deterministic scheduling code, float
-// comparison hygiene, the zero-alloc observer and span guard contract,
-// ordered map iteration, sleep-free tests, and — flow-sensitively —
-// unit-consistent arithmetic, mutex discipline, scheduler input purity,
-// error handling along every path, span End() coverage on every path,
-// and — module-wide over the call graph — allocation-free hot paths,
-// an acyclic lock-order graph, blocking operations with reachable
-// counterparts, and race-candidate-free goroutine captures.
+// paper's guarantees rest on. Its twelve analyzers check deterministic
+// scheduling code (simdeterminism), float comparison hygiene (floateq),
+// the zero-alloc observer and span guard contract (obsguard), ordered map
+// iteration (maporder), sleep-free tests (sleepsync) and joined, rand-free
+// goroutines (goroutinecheck); flow-sensitively, unit-consistent
+// arithmetic (unitflow), mutex discipline (lockcheck), scheduler input
+// purity (purity), error handling along every path (errflow) and span
+// End() coverage on every path (spanend); and, module-wide over the call
+// graph, allocation-free hot paths (allocflow). DESIGN.md §8 keeps a
+// ledger of what each one costs and has caught.
 //
 // Usage:
 //
@@ -21,19 +23,14 @@
 // Flags:
 //
 //	-catalog          list the analyzers and exit
-//	-enable a,b,...   run only the named analyzers (default: all fifteen)
+//	-enable a,b,...   run only the named analyzers (default: all twelve)
 //	-json             emit one JSON object per finding, one per line
-//	                  (findings with a call/acquisition chain carry it in
-//	                  the "chain" field)
+//	                  (findings with a call chain carry it in the "chain"
+//	                  field)
 //	-callgraph        dump the interprocedural call graph and exit
-//	-lockgraph        dump the module-wide lock acquisition graph and exit
 //	-calibrate dir    diff allocflow's escape verdicts against the
 //	                  compiler's (go build -gcflags=-m) over the corpus in
 //	                  dir; exit non-zero below 95% agreement
-//	-racevalidate     replay the concurrent packages' test suites under
-//	                  -race and assert every reported location is inside
-//	                  capturecheck's candidate set (differential
-//	                  validation); -racetimeout bounds each test binary
 //	-dir path -rel p  lint a single directory as module-relative path p
 //	                  (used by CI to assert the golden flag fixtures fail)
 //
@@ -53,15 +50,14 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/analysis"
 )
 
 // finding is the JSON shape of one diagnostic: stable field names so CI
 // can convert findings to GitHub annotations without parsing text.
-// Chain is present only for findings that carry a call/acquisition chain
-// (allocflow hot-path chains, lockorder cycles).
+// Chain is present only for findings that carry a call chain (allocflow
+// hot-path chains).
 type finding struct {
 	File     string   `json:"file"`
 	Line     int      `json:"line"`
@@ -78,12 +74,9 @@ func main() {
 	dir := flag.String("dir", "", "lint a single directory instead of the module")
 	rel := flag.String("rel", "", "module-relative path the -dir package is loaded under")
 	callgraph := flag.Bool("callgraph", false, "dump the interprocedural call graph and exit")
-	lockgraph := flag.Bool("lockgraph", false, "dump the module-wide lock acquisition graph and exit")
 	calibrate := flag.String("calibrate", "", "calibrate allocflow against go build -gcflags=-m over the corpus `dir`")
-	racevalidate := flag.Bool("racevalidate", false, "replay the concurrent packages' tests under -race and check reports against capturecheck's candidate set")
-	racetimeout := flag.Duration("racetimeout", 4*time.Minute, "per-test-binary timeout for -racevalidate")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: hplint [-catalog] [-callgraph] [-lockgraph] [-calibrate dir] [-racevalidate] [-json] [-enable a,b] [-dir path -rel relpath] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: hplint [-catalog] [-callgraph] [-calibrate dir] [-json] [-enable a,b] [-dir path -rel relpath] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -96,21 +89,6 @@ func main() {
 		rep.Format(os.Stdout)
 		if rep.Agreement() < 0.95 {
 			fmt.Fprintf(os.Stderr, "hplint: calibration agreement %.1f%% below the 95%% floor\n", 100*rep.Agreement())
-			os.Exit(1)
-		}
-		return
-	}
-	if *racevalidate {
-		wd, err := os.Getwd()
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := analysis.ValidateRace(wd, *racetimeout)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Format(os.Stdout)
-		if !rep.OK() {
 			os.Exit(1)
 		}
 		return
@@ -169,10 +147,6 @@ func main() {
 	prog := analysis.BuildProgram(pkgs)
 	if *callgraph {
 		fmt.Print(prog.DumpGraph())
-		return
-	}
-	if *lockgraph {
-		fmt.Print(prog.DumpLockGraph())
 		return
 	}
 	// Collect everything before printing: findings are globally sorted by

@@ -209,7 +209,10 @@ func TestRouterKeyMatchesServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("routerKey: %v", err)
 	}
-	form := parseForm(req)
+	form, err := parseForm(req)
+	if err != nil {
+		t.Fatalf("parseForm: %v", err)
+	}
 	ks, err := requestKeyFor(form, "schedule:"+form.Alg)
 	if err != nil {
 		t.Fatalf("requestKeyFor: %v", err)

@@ -21,7 +21,10 @@ import (
 // result. /trace responses are never cached, but keying them identically
 // keeps repeated trace pulls on one replica.
 func routerKey(r *http.Request) (serve.Key, error) {
-	form := parseForm(r)
+	form, err := parseForm(r)
+	if err != nil {
+		return serve.Key{}, err
+	}
 	switch r.URL.Path {
 	case "/schedule":
 		return requestKeyFor(form, "schedule:"+form.Alg)

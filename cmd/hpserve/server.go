@@ -286,7 +286,10 @@ func defaultForm() scheduleForm {
 	return scheduleForm{Workload: "cholesky", N: 8, CPUs: 8, GPUs: 2, Alg: "HeteroPrio-min"}
 }
 
-func parseForm(r *http.Request) scheduleForm {
+// parseForm reads the request's schedule form over the defaults. An
+// empty field keeps its default; a non-integer n, cpus or gpus is an
+// error naming the field.
+func parseForm(r *http.Request) (scheduleForm, error) {
 	form := defaultForm()
 	if v := r.FormValue("workload"); v != "" {
 		form.Workload = v
@@ -294,10 +297,15 @@ func parseForm(r *http.Request) scheduleForm {
 	if v := r.FormValue("alg"); v != "" {
 		form.Alg = v
 	}
-	form.N = atoiDefault(r.FormValue("n"), form.N)
-	form.CPUs = atoiDefault(r.FormValue("cpus"), form.CPUs)
-	form.GPUs = atoiDefault(r.FormValue("gpus"), form.GPUs)
-	return form
+	var err error
+	if form.N, err = formInt(r, "n", form.N); err != nil {
+		return form, err
+	}
+	if form.CPUs, err = formInt(r, "cpus", form.CPUs); err != nil {
+		return form, err
+	}
+	form.GPUs, err = formInt(r, "gpus", form.GPUs)
+	return form, err
 }
 
 func serveWorkloads() []string {
@@ -325,7 +333,11 @@ func wantJSON(r *http.Request) bool { return r.FormValue("format") == "json" }
 func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	form := parseForm(r)
+	form, err := parseForm(r)
+	if err != nil {
+		s.fail(w, r, form, err)
+		return
+	}
 	res, err := s.runSchedule(ctx, form)
 	if err != nil {
 		s.fail(w, r, form, err)
@@ -345,7 +357,11 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	form := parseForm(r)
+	form, err := parseForm(r)
+	if err != nil {
+		s.fail(w, r, form, err)
+		return
+	}
 	rows, err := s.runCompare(ctx, form)
 	if err != nil {
 		s.fail(w, r, form, err)
@@ -424,7 +440,11 @@ func (s *server) handleRuns(w http.ResponseWriter, _ *http.Request) {
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	form := parseForm(r)
+	form, err := parseForm(r)
+	if err != nil {
+		jsonError(w, err, s.errStatus(err))
+		return
+	}
 	// Traces attach a live Timeline, so they are never cached, but they
 	// still count against the admission valve like any other simulation.
 	release, err := s.admit.Acquire(ctx)
@@ -485,7 +505,11 @@ type traceListEntry struct {
 // handleTraces lists the retained traces slowest-first (the tail-latency
 // investigation order), bounded by ?limit= (default 50).
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	limit := atoiDefault(r.FormValue("limit"), 50)
+	limit, err := formInt(r, "limit", 50)
+	if err != nil {
+		jsonError(w, err, http.StatusBadRequest)
+		return
+	}
 	if limit < 1 {
 		limit = 1
 	}
@@ -772,11 +796,18 @@ func jsonCodec[V any]() (func(V) ([]byte, error), func([]byte) (V, error)) {
 		}
 }
 
-func atoiDefault(s string, def int) int {
-	if v, err := strconv.Atoi(s); err == nil {
-		return v
+// formInt reads an integer form field: an empty value keeps def, any
+// other non-integer is an error naming the field.
+func formInt(r *http.Request, field string, def int) (int, error) {
+	v := r.FormValue(field)
+	if v == "" {
+		return def, nil
 	}
-	return def
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return def, fmt.Errorf("%s must be an integer, got %q", field, v)
+	}
+	return n, nil
 }
 
 func buildServeWorkload(name string, n int) (*dag.Graph, error) {

@@ -76,20 +76,37 @@ func TestScheduleEndpointAllWorkloads(t *testing.T) {
 // page, not as a 200 that only looks like an error.
 func TestScheduleEndpointErrors(t *testing.T) {
 	srv := newServer(nil, defaultServeConfig())
-	cases := []url.Values{
-		{"workload": {"nope"}, "n": {"4"}, "cpus": {"2"}, "gpus": {"1"}, "alg": {"HeteroPrio-min"}},
-		{"workload": {"cholesky"}, "n": {"999"}, "cpus": {"2"}, "gpus": {"1"}, "alg": {"HeteroPrio-min"}},
-		{"workload": {"cholesky"}, "n": {"4"}, "cpus": {"0"}, "gpus": {"0"}, "alg": {"HeteroPrio-min"}},
-		{"workload": {"cholesky"}, "n": {"4"}, "cpus": {"2"}, "gpus": {"1"}, "alg": {"bogus"}},
+	cases := []struct {
+		q    url.Values
+		want string // in the surfaced message, when set
+	}{
+		{q: url.Values{"workload": {"nope"}, "n": {"4"}, "cpus": {"2"}, "gpus": {"1"}, "alg": {"HeteroPrio-min"}}},
+		{q: url.Values{"workload": {"cholesky"}, "n": {"999"}, "cpus": {"2"}, "gpus": {"1"}, "alg": {"HeteroPrio-min"}}},
+		{q: url.Values{"workload": {"cholesky"}, "n": {"4"}, "cpus": {"0"}, "gpus": {"0"}, "alg": {"HeteroPrio-min"}}},
+		{q: url.Values{"workload": {"cholesky"}, "n": {"4"}, "cpus": {"2"}, "gpus": {"1"}, "alg": {"bogus"}}},
+		// A malformed integer is an error, not a silent default.
+		{q: url.Values{"workload": {"cholesky"}, "n": {"abc"}, "cpus": {"4"}, "gpus": {"2"}}, want: "n must be an integer"},
+		{q: url.Values{"workload": {"cholesky"}, "n": {"4"}, "cpus": {"4x"}, "gpus": {"2"}}, want: "cpus must be an integer"},
+		{q: url.Values{"workload": {"cholesky"}, "n": {"4"}, "cpus": {"4"}, "gpus": {"1.5"}}, want: "gpus must be an integer"},
 	}
-	for i, q := range cases {
-		code, body := get(t, srv, "/schedule?"+q.Encode())
+	for i, c := range cases {
+		code, body := get(t, srv, "/schedule?"+c.q.Encode())
 		if code != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, want 400", i, code)
 		}
-		if !strings.Contains(body, "class=\"error\"") {
-			t.Errorf("case %d: error not surfaced", i)
+		if !strings.Contains(body, "class=\"error\"") || !strings.Contains(body, c.want) {
+			t.Errorf("case %d: error %q not surfaced", i, c.want)
 		}
+	}
+	// The JSON form names the field too, and an empty value keeps the
+	// default.
+	code, body := get(t, srv, "/schedule?workload=cholesky&n=abc&cpus=4&gpus=2&format=json")
+	if code != http.StatusBadRequest || !strings.Contains(body, "n must be an integer") {
+		t.Errorf("n=abc as JSON: status %d, body %s", code, body)
+	}
+	code, body = get(t, srv, "/schedule?workload=cholesky&n=&cpus=4&gpus=2&format=json")
+	if code != http.StatusOK || !strings.Contains(body, `"n": 8`) {
+		t.Errorf("empty n: status %d, want 200 with the default n=8; body %s", code, body)
 	}
 }
 

@@ -182,6 +182,9 @@ func TestTracesListing(t *testing.T) {
 	if len(payload.Traces) != 1 {
 		t.Errorf("limit=1 returned %d traces", len(payload.Traces))
 	}
+	if rec := doGet(t, srv, "/traces?limit=x"); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "limit must be an integer") {
+		t.Errorf("limit=x: status %d, body %s", rec.Code, rec.Body.String())
+	}
 }
 
 func TestTraceTreeErrors(t *testing.T) {

@@ -7,9 +7,9 @@
 //     durations — no wall clock, no global random source;
 //   - floateq: no exact float equality where ρ-ties or bound comparisons
 //     need an epsilon or a deterministic tie-break;
-//   - obsguard: observer emission in core's event loops must stay behind a
-//     nil guard and pass only non-allocating arguments (the zero-alloc
-//     guarantee of PR 1);
+//   - obsguard: observer and span emission in the instrumented packages
+//     must stay behind a nil guard and pass only non-allocating arguments
+//     (the zero-alloc observer guarantee);
 //   - maporder: no scheduling-relevant slice built from a map iteration
 //     without a subsequent sort;
 //   - sleepsync: no time.Sleep-based synchronization in tests;
@@ -17,7 +17,7 @@
 //     drivers carry a visible join and never share a rand.Rand across
 //     the spawn boundary;
 //
-// plus four flow-sensitive analyzers built on the package's CFG +
+// five flow-sensitive analyzers built on the package's CFG +
 // forward-dataflow engine (cfg.go, dataflow.go):
 //
 //   - unitflow: dimensional analysis — no arithmetic or comparison mixing
@@ -27,7 +27,12 @@
 //   - purity: schedulers treat Platform, task slices, and DAGs as
 //     read-only;
 //   - errflow: no dropped or shadowed errors along any path in the
-//     binaries and the live executor.
+//     binaries and the live executor;
+//   - spanend: every span the serving layer starts reaches End() on every
+//     path;
+//
+// and allocflow, built on the whole-module call graph (callgraph.go,
+// summary.go): nothing reachable from a //hplint:hotpath root allocates.
 //
 // A diagnostic can be suppressed with a trailing (or immediately
 // preceding) comment of the form
@@ -90,8 +95,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ReportChain records a diagnostic whose finding is explained by a call
-// or acquisition chain (allocflow, lockorder). The chain rides along to
-// the JSON output so CI annotations can surface it.
+// chain (allocflow). The chain rides along to the JSON output so CI
+// annotations can surface it.
 func (p *Pass) ReportChain(pos token.Pos, chain []string, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
@@ -102,8 +107,8 @@ func (p *Pass) ReportChain(pos token.Pos, chain []string, format string, args ..
 }
 
 // Diagnostic is one finding, positioned for file.go:line:col rendering.
-// Chain, when set, is the step-by-step explanation (a call chain for
-// allocflow, the cycle edges for lockorder).
+// Chain, when set, is the step-by-step explanation (allocflow's call
+// chain).
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
@@ -116,11 +121,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// All returns the full analyzer suite in stable order: the six
-// syntactic analyzers, the five flow-sensitive analyzers built on the
-// CFG/dataflow engine (cfg.go, dataflow.go), allocflow, and the three
-// module-wide concurrency analyzers built on the call graph
-// (lockorder.go, blockcheck.go, capturecheck.go).
+// All returns the full suite of twelve analyzers in stable order: the
+// six syntactic analyzers, the five flow-sensitive analyzers built on
+// the CFG/dataflow engine (cfg.go, dataflow.go), and allocflow, built on
+// the whole-module call graph (callgraph.go). DESIGN.md §8 keeps a
+// ledger of what each one costs and has caught.
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism,
@@ -135,9 +140,6 @@ func All() []*Analyzer {
 		ErrFlow,
 		SpanEnd,
 		AllocFlow,
-		LockOrder,
-		BlockCheck,
-		CaptureCheck,
 	}
 }
 
@@ -166,8 +168,8 @@ const allowPrefix = "//hplint:allow"
 // collectAllows scans a file's comments for hplint:allow markers. A marker
 // on line N suppresses diagnostics of the named analyzer on line N (the
 // trailing-comment form) and line N+1 (the comment-above form). Malformed
-// markers — unknown analyzer, or no reason — are reported as diagnostics
-// of the pseudo-analyzer "hplint".
+// markers — an analyzer not in known, or no reason — are reported as
+// diagnostics of the pseudo-analyzer "hplint".
 func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool, diags *[]Diagnostic) map[allowKey]bool {
 	allows := make(map[allowKey]bool)
 	for _, f := range files {
@@ -227,13 +229,28 @@ func RunAnalyzersProgram(suite []*Analyzer, pkg *Package, prog *Program) []Diagn
 // stream before allow-suppression. The raw stream is what the stale-
 // allow detector (stale.go) consumes: an allow is live exactly when a
 // raw diagnostic fired on one of its lines.
+//
+// An escape may name any analyzer of All(), whichever subset suite is,
+// so a partial run does not flag the other analyzers' escapes. A test
+// unit owns only its _test.go files — its other files repeat the base
+// unit's — so each file's escapes are checked, and its findings
+// reported, once.
 func RunAnalyzersProgramRaw(suite []*Analyzer, pkg *Package, prog *Program) (kept, raw []Diagnostic) {
-	known := make(map[string]bool, len(suite))
-	for _, a := range suite {
+	known := make(map[string]bool)
+	for _, a := range All() {
 		known[a.Name] = true
 	}
+	owned := pkg.Files
+	if pkg.TestOnly {
+		owned = nil
+		for _, f := range pkg.Files {
+			if isTestFile(pkg.Fset, f) {
+				owned = append(owned, f)
+			}
+		}
+	}
 	var diags []Diagnostic
-	allows := collectAllows(pkg.Fset, pkg.Files, known, &diags)
+	allows := collectAllows(pkg.Fset, owned, known, &diags)
 	for _, a := range suite {
 		if len(a.Packages) > 0 {
 			hit := false
@@ -248,11 +265,8 @@ func RunAnalyzersProgramRaw(suite []*Analyzer, pkg *Package, prog *Program) (kep
 			}
 		}
 		var files []*ast.File
-		for _, f := range pkg.Files {
+		for _, f := range owned {
 			test := isTestFile(pkg.Fset, f)
-			if pkg.TestOnly && !test {
-				continue // duplicate of the base unit
-			}
 			if (a.OnlyTests && !test) || (a.SkipTests && test) {
 				continue
 			}

@@ -65,9 +65,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"errflow", "internal/runtime", ErrFlow},
 		{"spanend", "internal/serve", SpanEnd},
 		{"allocflow", "internal/core", AllocFlow},
-		{"lockorder", "internal/lockfixture", LockOrder},
-		{"blockcheck", "internal/engine", BlockCheck},
-		{"capturecheck", "internal/engine", CaptureCheck},
 	}
 	for _, c := range cases {
 		t.Run(c.dir, func(t *testing.T) {
@@ -148,5 +145,40 @@ func d() {}
 	// The well-formed escape suppresses its own line and the next.
 	if !allows[allowKey{"allow.go", 12, "floateq"}] || !allows[allowKey{"allow.go", 13, "floateq"}] {
 		t.Errorf("well-formed allow not recorded: %v", allows)
+	}
+}
+
+// TestAllowsCheckedOncePerFile runs a one-analyzer suite over a package
+// with an in-package test. Another analyzer's valid escape is no
+// diagnostic, and the malformed escape in the non-test file is reported
+// once, by the base unit, not again by the test unit that repeats it.
+func TestAllowsCheckedOncePerFile(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"p.go": "package p\n\n" +
+			allowPrefix + " allocflow a valid escape of an analyzer the run leaves out\n" +
+			"func A() int { return 1 }\n\n" +
+			allowPrefix + " nosuchanalyzer because reasons\n" +
+			"func B() int { return 2 }\n",
+		"p_test.go": `package p
+
+func sum() int { return A() + B() }
+`,
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, prog := loadFixtureProgram(t, dir, "internal/bounds")
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d units, want the base and the in-package test unit", len(pkgs))
+	}
+	var got []Diagnostic
+	for _, p := range pkgs {
+		got = append(got, RunAnalyzersProgram([]*Analyzer{FloatEq}, p, prog)...)
+	}
+	if len(got) != 1 || got[0].Pos.Line != 6 || !strings.Contains(got[0].Message, `unknown analyzer "nosuchanalyzer"`) {
+		t.Errorf("got %v, want one unknown-analyzer diagnostic at p.go:6", got)
 	}
 }

@@ -123,16 +123,6 @@ type Program struct {
 	swallows     map[*Node]token.Pos
 	ifaceTargets map[*types.Interface][]*Node
 	allTypes     []types.Type
-
-	// concurrency caches (lockorder.go, blockcheck.go).
-	lockAcq     map[*Node][]lockAcquire
-	goSites     map[*Node]map[token.Pos]bool
-	lockAcqAll  map[*Node]map[LockID]bool
-	lockEdges   []lockEdge
-	lockEdgesOK bool
-	lockOwners  map[*types.Var]string
-	pkgSet      map[*types.Package]bool
-	chanInv     *syncInventory
 }
 
 const hotpathPrefix = "//hplint:hotpath"

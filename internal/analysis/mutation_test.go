@@ -1,0 +1,205 @@
+package analysis
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestAnalyzersCatchRepoMutations holds every analyzer to a mutation of
+// the repository's own code, not only to its testdata fixture. Each row
+// copies one real package (its non-test files, plus the edited file) into
+// a temporary directory, applies one textual edit that breaks the
+// analyzer's invariant, loads the copy under the package's own path and
+// runs that analyzer alone over it. The finding must land on an edited
+// line, or on the line named by at when the analyzer reports elsewhere
+// (spanend reports at the span's start). The unedited packages are
+// TestRepoIsClean's business.
+func TestAnalyzersCatchRepoMutations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a dozen module packages")
+	}
+	cases := []struct {
+		az       *Analyzer
+		rel      string // module-relative package path
+		file     string // the edited file
+		old, new string // the edit; old occurs exactly once in file
+		at       string // the finding's line, when not an edited one
+		want     string // message substring
+	}{
+		{
+			// Reverts the clock injection: the live executor's epoch
+			// comes from the wall clock again.
+			az: SimDeterminism, rel: "internal/runtime", file: "runtime.go",
+			old:  "epoch := clk.Now()",
+			new:  "epoch := time.Now()",
+			want: "time.Now in scheduling code",
+		},
+		{
+			// Validate matches a spoliation restart to its abort instant
+			// exactly instead of within the tolerance.
+			az: FloatEq, rel: "internal/sim", file: "schedule.go",
+			old:  "if math.Abs(s.Entries[restart].Start-a.End) <= tol {",
+			new:  "if s.Entries[restart].Start == a.End {",
+			want: "exact float ==",
+		},
+		{
+			// HeteroPrio's release hook loses its nil guard.
+			az: ObsGuard, rel: "internal/core", file: "heteroprio.go",
+			old:  "\tif s.o != nil {\n\t\ts.o.TaskQueued(s.k.Now, t, s.q.Len())\n\t}",
+			new:  "\ts.o.TaskQueued(s.k.Now, t, s.q.Len())",
+			want: "outside an `if s.o != nil` guard",
+		},
+		{
+			// The live executor fills workers in the idle set's map order
+			// instead of platform order.
+			az: MapOrder, rel: "internal/runtime", file: "runtime.go",
+			old: "\t\t\t\tfor _, w := range pl.WorkersOf(kind) {\n\t\t\t\t\tif !idle[w] || queue.Len() == 0 {",
+			new: "\t\t\t\tvar free []int\n\t\t\t\tfor w := range idle {\n\t\t\t\t\tfree = append(free, w)\n\t\t\t\t}\n" +
+				"\t\t\t\tfor _, w := range free {\n\t\t\t\t\tif pl.KindOf(w) != kind || queue.Len() == 0 {",
+			want: "nondeterministic order",
+		},
+		{
+			// A test waits for the wall clock to move by sleeping.
+			az: SleepSync, rel: "internal/clock", file: "clock_test.go",
+			old:  "\ta := w.Now()\n",
+			new:  "\ta := w.Now()\n\ttime.Sleep(time.Millisecond)\n",
+			want: "time.Sleep in a test",
+		},
+		{
+			// engine.Map's workers no longer signal the WaitGroup.
+			az: GoroutineCheck, rel: "internal/engine", file: "engine.go",
+			old:  "\t\tgo func() {\n\t\t\tdefer wg.Done()\n",
+			new:  "\t\tgo func() {\n",
+			want: "no visible join",
+		},
+		{
+			// The area bound's split threshold gets a time.
+			az: UnitFlow, rel: "internal/bounds", file: "area.go",
+			old:  "sol.SplitAccel = w.sorted[w.split].Accel()",
+			new:  "sol.SplitAccel = w.sorted[w.split].Accel() + w.bound",
+			want: "mixes",
+		},
+		{
+			// CounterVec.With's fast path reads the map without the lock.
+			az: LockCheck, rel: "internal/obs", file: "metrics.go",
+			old:  "\tv.mu.RLock()\n\tc := v.kids[value]\n\tv.mu.RUnlock()\n",
+			new:  "\tc := v.kids[value]\n",
+			want: "read of v.kids guarded by mu",
+		},
+		{
+			// The historical finding: sorting the scheduler's input in
+			// place instead of a clone.
+			az: Purity, rel: "internal/sched", file: "dualhp.go",
+			old:  "\torder := in.Clone()\n\tsort.SliceStable(order,",
+			new:  "\torder := in\n\tsort.SliceStable(order,",
+			want: "in place",
+		},
+		{
+			// The live executor drops the priority computation's error.
+			az: ErrFlow, rel: "internal/runtime", file: "runtime.go",
+			old:  "\t\tif _, err := g.d.AssignBottomLevelPriorities(dag.WeightMin, pl); err != nil {\n\t\t\treturn nil, err\n\t\t}\n",
+			new:  "\t\tg.d.AssignBottomLevelPriorities(dag.WeightMin, pl)\n",
+			want: "discards its error result",
+		},
+		{
+			// A shed request leaves its admission span open.
+			az: SpanEnd, rel: "internal/serve", file: "admission.go",
+			old:  "\t\t\tasp.Annotate(\"outcome\", \"shed\")\n\t\t\tasp.End()\n",
+			new:  "\t\t\tasp.Annotate(\"outcome\", \"shed\")\n",
+			at:   "asp = sp.StartChild(\"admission\")",
+			want: "not ended on every path",
+		},
+		{
+			// HeteroPrio's decision round records the workers it started.
+			az: AllocFlow, rel: "internal/core", file: "heteroprio.go",
+			old: "\t\tchanged := false\n" +
+				"\t\tfor w := s.k.NextIdle(platform.GPU, 0); w >= 0 && s.q.Len() > 0; w = s.k.NextIdle(platform.GPU, w+1) {\n" +
+				"\t\t\ts.start(w, platform.GPU, s.q.PopFront(), false)\n" +
+				"\t\t\tchanged = true\n" +
+				"\t\t}\n",
+			new: "\t\tvar started []int\n" +
+				"\t\tfor w := s.k.NextIdle(platform.GPU, 0); w >= 0 && s.q.Len() > 0; w = s.k.NextIdle(platform.GPU, w+1) {\n" +
+				"\t\t\ts.start(w, platform.GPU, s.q.PopFront(), false)\n" +
+				"\t\t\tstarted = append(started, w)\n" +
+				"\t\t}\n" +
+				"\t\tchanged := len(started) > 0\n",
+			want: "append may grow the backing array",
+		},
+	}
+	covered := map[string]bool{}
+	for _, c := range cases {
+		covered[c.az.Name] = true
+	}
+	for _, a := range All() {
+		if !covered[a.Name] {
+			t.Errorf("analyzer %s has no repository mutation", a.Name)
+		}
+	}
+
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		t.Run(c.az.Name, func(t *testing.T) {
+			tmp := t.TempDir()
+			src := filepath.Join(l.ModuleRoot, filepath.FromSlash(c.rel))
+			entries, err := os.ReadDir(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, last := 0, 0
+			for _, e := range entries {
+				name := e.Name()
+				if !strings.HasSuffix(name, ".go") || (strings.HasSuffix(name, "_test.go") && name != c.file) {
+					continue
+				}
+				data, err := os.ReadFile(filepath.Join(src, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				text := string(data)
+				if name == c.file {
+					if n := strings.Count(text, c.old); n != 1 {
+						t.Fatalf("%s: the edit's old text occurs %d times, want 1", name, n)
+					}
+					i := strings.Index(text, c.old)
+					first = 1 + strings.Count(text[:i], "\n")
+					last = first + strings.Count(c.new, "\n")
+					text = text[:i] + c.new + text[i+len(c.old):]
+					if c.at != "" {
+						if n := strings.Count(text, c.at); n != 1 {
+							t.Fatalf("%s: at occurs %d times, want 1", name, n)
+						}
+						first = 1 + strings.Count(text[:strings.Index(text, c.at)], "\n")
+						last = first
+					}
+				}
+				if err := os.WriteFile(filepath.Join(tmp, name), []byte(text), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if first == 0 {
+				t.Fatalf("%s has no file %s", c.rel, c.file)
+			}
+			pkgs, err := l.LoadDir(tmp, c.rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := BuildProgram(pkgs)
+			var got []Diagnostic
+			for _, p := range pkgs {
+				got = append(got, RunAnalyzersProgram([]*Analyzer{c.az}, p, prog)...)
+			}
+			for _, d := range got {
+				if filepath.Base(d.Pos.Filename) == c.file && d.Pos.Line >= first && d.Pos.Line <= last &&
+					d.Analyzer == c.az.Name && strings.Contains(d.Message, c.want) {
+					return
+				}
+			}
+			t.Errorf("no %s finding matching %q on %s:%d-%d; got %v", c.az.Name, c.want, c.file, first, last, got)
+		})
+	}
+}

@@ -9,10 +9,10 @@ import (
 
 // ObsGuard enforces the zero-alloc observability contract on the hot
 // paths: every obs.Observer method call must sit inside an `if o != nil`
-// guard on the same observer variable (so the nil fast path costs
-// nothing), and its arguments must be non-allocating — no function
-// literals, no composite literals, no fmt.Sprint-family calls. The
-// contract is what keeps BenchmarkScheduleIndependent /
+// guard on the same receiver, a variable o or a field s.o (so the nil
+// fast path costs nothing), and its arguments must be non-allocating —
+// no function literals, no composite literals, no fmt.Sprint-family
+// calls. The contract is what keeps BenchmarkScheduleIndependent /
 // TestObserverNopZeroAlloc at zero allocations per event.
 //
 // The same discipline applies to span emission (*obs.Span methods are
@@ -63,15 +63,40 @@ func isGuardableType(t types.Type) bool {
 	return isObserverType(t) || isSpanType(t)
 }
 
-// guardRange is one `if o != nil { ... }` body protecting observer obj.
+// guardKey names a receiver obsguard tracks: a variable (o), or a field
+// read through a variable (s.o). Both objects are part of the key, so a
+// guard on s.o does not cover t.o.
+type guardKey struct {
+	base, obj types.Object
+}
+
+// receiverOf resolves a call receiver or nil-checked operand to its key.
+// It reports false for other expressions and for untracked types.
+func receiverOf(info *types.Info, e ast.Expr) (guardKey, bool) {
+	switch x := e.(type) {
+	case *ast.Ident:
+		obj := info.Uses[x]
+		return guardKey{obj: obj}, obj != nil && isGuardableType(obj.Type())
+	case *ast.SelectorExpr:
+		base, ok := x.X.(*ast.Ident)
+		sel := info.Selections[x]
+		if !ok || sel == nil || sel.Kind() != types.FieldVal || info.Uses[base] == nil {
+			return guardKey{}, false
+		}
+		return guardKey{base: info.Uses[base], obj: sel.Obj()}, isGuardableType(sel.Obj().Type())
+	}
+	return guardKey{}, false
+}
+
+// guardRange is one `if o != nil { ... }` body protecting receiver key.
 type guardRange struct {
-	obj      types.Object
+	key      guardKey
 	from, to token.Pos
 }
 
-// nilCheckedObjects returns the observer objects that cond proves
-// non-nil: `o != nil` possibly among the conjuncts of &&-chains.
-func nilCheckedObjects(info *types.Info, cond ast.Expr) []types.Object {
+// nilCheckedObjects returns the receivers that cond proves non-nil:
+// `o != nil` or `s.o != nil`, possibly among the conjuncts of &&-chains.
+func nilCheckedObjects(info *types.Info, cond ast.Expr) []guardKey {
 	switch e := cond.(type) {
 	case *ast.ParenExpr:
 		return nilCheckedObjects(info, e.X)
@@ -89,15 +114,9 @@ func nilCheckedObjects(info *types.Info, cond ast.Expr) []types.Object {
 		if !isNilIdent(info, y) {
 			return nil
 		}
-		id, ok := x.(*ast.Ident)
-		if !ok {
-			return nil
+		if k, ok := receiverOf(info, x); ok {
+			return []guardKey{k}
 		}
-		obj := info.Uses[id]
-		if obj == nil || !isGuardableType(obj.Type()) {
-			return nil
-		}
-		return []types.Object{obj}
 	}
 	return nil
 }
@@ -205,14 +224,14 @@ func runObsGuard(pass *Pass) {
 			if !ok {
 				return true
 			}
-			for _, obj := range nilCheckedObjects(pass.Info, ifs.Cond) {
-				guards = append(guards, guardRange{obj: obj, from: ifs.Body.Pos(), to: ifs.Body.End()})
+			for _, k := range nilCheckedObjects(pass.Info, ifs.Cond) {
+				guards = append(guards, guardRange{key: k, from: ifs.Body.Pos(), to: ifs.Body.End()})
 			}
 			return true
 		})
-		guarded := func(obj types.Object, pos token.Pos) bool {
+		guarded := func(k guardKey, pos token.Pos) bool {
 			for _, g := range guards {
-				if g.obj == obj && g.from <= pos && pos < g.to {
+				if g.key == k && g.from <= pos && pos < g.to {
 					return true
 				}
 			}
@@ -228,29 +247,21 @@ func runObsGuard(pass *Pass) {
 			if !ok {
 				return true
 			}
-			recv, ok := sel.X.(*ast.Ident)
+			k, ok := receiverOf(pass.Info, sel.X)
 			if !ok {
 				return true
 			}
-			obj := pass.Info.Uses[recv]
-			if obj == nil {
-				return true
-			}
-			switch {
-			case isObserverType(obj.Type()):
-				if !guarded(obj, call.Pos()) {
-					pass.Reportf(call.Pos(), "observer call %s.%s outside an `if %s != nil` guard defeats the nil fast path", recv.Name, sel.Sel.Name, recv.Name)
+			recv := types.ExprString(sel.X)
+			if isObserverType(k.obj.Type()) {
+				if !guarded(k, call.Pos()) {
+					pass.Reportf(call.Pos(), "observer call %s.%s outside an `if %s != nil` guard defeats the nil fast path", recv, sel.Sel.Name, recv)
 				}
-			case isSpanType(obj.Type()):
-				if !started[obj] && !guarded(obj, call.Pos()) {
-					pass.Reportf(call.Pos(), "span call %s.%s outside an `if %s != nil` guard panics on untraced requests (span methods are not nil-safe)", recv.Name, sel.Sel.Name, recv.Name)
-				}
-			default:
-				return true
+			} else if !(k.base == nil && started[k.obj]) && !guarded(k, call.Pos()) {
+				pass.Reportf(call.Pos(), "span call %s.%s outside an `if %s != nil` guard panics on untraced requests (span methods are not nil-safe)", recv, sel.Sel.Name, recv)
 			}
 			for _, arg := range call.Args {
 				if desc, pos := allocatingExpr(pass.Info, arg); desc != "" {
-					pass.Reportf(pos, "allocating argument (%s) in observer call %s.%s breaks the zero-alloc contract", desc, recv.Name, sel.Sel.Name)
+					pass.Reportf(pos, "allocating argument (%s) in observer call %s.%s breaks the zero-alloc contract", desc, recv, sel.Sel.Name)
 				}
 			}
 			return true
