@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http"
 	"testing"
 
 	"repro/internal/bounds"
@@ -16,8 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sched"
-	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -472,48 +469,6 @@ func BenchmarkHDRRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Record(int64(i%1000000 + 1))
-	}
-}
-
-// BenchmarkRingLookup measures one consistent-hash placement: a binary
-// search over the vnode ring for a precomputed key point. This sits on
-// the router's per-request path and on every PeerL2 Get/Put, so the gate
-// pins it at 0 allocs/op.
-func BenchmarkRingLookup(b *testing.B) {
-	ring := shard.NewRing([]string{
-		"http://r0:8080", "http://r1:8080", "http://r2:8080", "http://r3:8080",
-	}, shard.DefaultVNodes)
-	var sink int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += ring.LookupPoint(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-	if sink < 0 {
-		b.Fatal("impossible")
-	}
-}
-
-// BenchmarkRouterCandidates measures the router's full per-request
-// placement decision: ring successors plus the cooldown partition, into
-// a caller-owned buffer. Gate-pinned at 0 allocs/op — any slice growth
-// or boxing on this path multiplies across every proxied request.
-func BenchmarkRouterCandidates(b *testing.B) {
-	rt, err := shard.NewRouter(shard.RouterConfig{
-		Backends: []string{"http://r0:1", "http://r1:1", "http://r2:1", "http://r3:1"},
-		Key:      func(r *http.Request) (serve.Key, error) { return serve.Key{}, nil },
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]int, 0, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = rt.Candidates(uint64(i)*0x9e3779b97f4a7c15, buf[:0])
-		if len(buf) != 4 {
-			b.Fatal("short candidate list")
-		}
 	}
 }
 

@@ -7,15 +7,10 @@
 // function of -seed/-n/-rate/-mix; the -concurrency cap only gates
 // dispatch, so the plan section of the report is reproducible across
 // machines and concurrency levels while the latency section reflects
-// the target's actual behaviour.
-//
-// Against a replica router, -replicas auto discovers the replica set
-// from the router's /replicas endpoint and the report adds a cache-tier
-// breakdown (L1/L2/computed off the merged /metrics) plus per-replica
-// request counts and server-side latency quantiles.
+// the target's actual behaviour. The report's cache breakdown (lookups,
+// hits, computed) comes from the target's /metrics before and after.
 //
 //	hpload -url http://127.0.0.1:8080 -n 200 -rate 50 -seed 42 -json report.json
-//	hpload -url http://127.0.0.1:8080 -replicas auto -n 1000 -rate 200
 package main
 
 import (
@@ -24,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -47,8 +41,6 @@ func run() error {
 	mixFlag := flag.String("mix", "", "request mix as kind=weight[,kind=weight] (default schedule=9,compare=1)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request client timeout")
 	traceSample := flag.Int("trace-sample", 8, "resolve every Nth OK request's trace for the phase breakdown; 0 disables")
-	replicas := flag.String("replicas", "",
-		"replica URLs to scrape individually: auto (discover via the router's /replicas) or a comma-separated list")
 	jsonPath := flag.String("json", "", "also write the report as JSON to this file")
 	flag.Parse()
 
@@ -66,22 +58,6 @@ func run() error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	switch *replicas {
-	case "":
-	case "auto":
-		urls, err := load.DiscoverReplicas(ctx, nil, *url)
-		if err != nil {
-			return fmt.Errorf("discover replicas: %w", err)
-		}
-		cfg.Replicas = urls
-	default:
-		for _, u := range strings.Split(*replicas, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				cfg.Replicas = append(cfg.Replicas, u)
-			}
-		}
-	}
 
 	rep, err := load.Run(ctx, cfg)
 	if err != nil {

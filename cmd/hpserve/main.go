@@ -10,17 +10,7 @@
 // and the standard pprof handlers under /debug/pprof/. Structured logs
 // go to stderr; -v (or HP_LOG=debug) enables per-request debug lines.
 //
-// Modes:
-//
-//	hpserve -addr :8080 -v                       # one replica (default)
-//	hpserve -mode=router -backends a,b,c         # route across replicas
-//	hpserve -mode=cluster -cluster-replicas 3    # k replicas + router,
-//	                                             # one process
-//
-// A replica joins a multi-process L2 tier with -peers and -self; a
-// cluster shares one in-process L2. The router serves a merged /metrics
-// view aggregating every replica's registry, replica health at
-// /replicas, and its own routing traces at /traces.
+//	hpserve -addr :8080 -v
 package main
 
 import (
@@ -31,17 +21,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
 func main() {
-	mode := flag.String("mode", "serve",
-		"serve (one replica), router (fan out across -backends), or cluster (replicas + router in one process)")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	verbose := flag.Bool("v", false, "verbose (debug) logging; HP_LOG overrides")
 	def := defaultServeConfig()
@@ -53,73 +39,17 @@ func main() {
 		"per-request deadline; expired requests are rejected with 503")
 	traceEntries := flag.Int("trace-entries", def.traceEntries,
 		"finished request traces retained for /traces and /trace/{id}")
-	canonical := flag.Bool("canonical", false,
-		"zero volatile run-summary fields (id, when, elapsed) in responses so bodies are pure functions of the request")
-	l2Entries := flag.Int("l2-entries", 4096,
-		"max entries in the shared L2 cache tier (peers and cluster modes)")
-	peers := flag.String("peers", "",
-		"comma-separated replica URLs forming a multi-process L2 tier (serve mode; must list every replica in the same order everywhere)")
-	self := flag.String("self", "",
-		"this replica's URL in -peers (serve mode with -peers)")
-	backends := flag.String("backends", "",
-		"comma-separated replica URLs to route across (router mode)")
-	vnodes := flag.Int("vnodes", shard.DefaultVNodes,
-		"virtual nodes per replica on the placement ring (must agree across routers and peers)")
-	cooldown := flag.Duration("router-cooldown", time.Second,
-		"how long a failed replica is skipped before a request probes it again")
-	clusterReplicas := flag.Int("cluster-replicas", 3,
-		"replica count for cluster mode")
 	flag.Parse()
 	logger := obs.NewLogger(os.Stderr, *verbose)
 
-	scfg := serveConfig{
-		cacheEntries:   *cacheEntries,
-		queueDepth:     *queueDepth,
-		requestTimeout: *requestTimeout,
-		traceEntries:   *traceEntries,
-		canonical:      *canonical,
-	}
-	rcfg := routerConfig{
-		vnodes:       *vnodes,
-		cooldown:     *cooldown,
-		traceEntries: *traceEntries,
-	}
-
-	var handler http.Handler
-	var cleanup func()
-	switch *mode {
-	case "serve":
-		if *peers != "" {
-			store := shard.NewMemoryL2(*l2Entries, nil)
-			peerTier, err := shard.NewPeerL2(splitList(*peers), *self, *vnodes, store, nil, nil)
-			if err != nil {
-				fatal(err)
-			}
-			scfg.l2 = peerTier
-			scfg.l2Store = store
-		}
-		handler = newServer(logger, scfg)
-	case "router":
-		rcfg.backends = splitList(*backends)
-		rt, err := newRouterHandler(logger, rcfg)
-		if err != nil {
-			fatal(err)
-		}
-		handler = rt
-	case "cluster":
-		c, err := newCluster(logger, *clusterReplicas, *l2Entries, rcfg, scfg)
-		if err != nil {
-			fatal(err)
-		}
-		handler = c.router
-		cleanup = c.Close
-	default:
-		fatal(fmt.Errorf("unknown -mode %q (serve, router, cluster)", *mode))
-	}
-
 	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
+		Addr: *addr,
+		Handler: newServer(logger, serveConfig{
+			cacheEntries:   *cacheEntries,
+			queueDepth:     *queueDepth,
+			requestTimeout: *requestTimeout,
+			traceEntries:   *traceEntries,
+		}),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
@@ -128,7 +58,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("hpserve listening", "mode", *mode, "addr", "http://"+*addr)
+		logger.Info("hpserve listening", "addr", "http://"+*addr)
 		errc <- srv.ListenAndServe()
 	}()
 
@@ -141,29 +71,11 @@ func main() {
 			logger.Error("shutdown", "err", err)
 			os.Exit(1)
 		}
-		if cleanup != nil {
-			cleanup()
-		}
 		logger.Info("hpserve stopped cleanly")
 	case err := <-errc:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
+			fmt.Fprintln(os.Stderr, "hpserve:", err)
+			os.Exit(1)
 		}
 	}
-}
-
-// splitList parses a comma-separated flag value, dropping empty entries.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hpserve:", err)
-	os.Exit(1)
 }

@@ -25,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -53,17 +52,6 @@ type serveConfig struct {
 	// traceEntries bounds the ring of finished request traces served at
 	// /traces and /trace/{id}.
 	traceEntries int
-	// l2 is the shared second cache tier layered under the local LRU
-	// (nil = single-tier). In -mode=cluster every replica shares one
-	// in-process MemoryL2; a multi-process deployment wires a PeerL2 here.
-	l2 shard.L2
-	// l2Store, when non-nil, is additionally served to peers at
-	// shard.L2Path so other replicas can fill from this process.
-	l2Store *shard.MemoryL2
-	// canonical zeroes the volatile run-summary fields (ID, When, Elapsed)
-	// in responses, making response bodies pure functions of the request —
-	// the property the sharded-determinism CI diff asserts.
-	canonical bool
 }
 
 func defaultServeConfig() serveConfig {
@@ -105,14 +93,11 @@ type server struct {
 
 	// Serving front end: exact result caches (schedule pages and compare
 	// tables cache separately but share the hp_cache_* metric families),
-	// each a two-tier shard.Tiered whose L2 is shared across replicas
-	// (nil L2 degrades to the plain LRU), the admission valve, and the
-	// per-request deadline.
-	schedCache   *shard.Tiered[*scheduleResult]
-	compareCache *shard.Tiered[[]obs.RunSummary]
+	// the admission valve, and the per-request deadline.
+	schedCache   *serve.Cache[*scheduleResult]
+	compareCache *serve.Cache[[]obs.RunSummary]
 	admit        *serve.Admission
 	timeout      time.Duration
-	canonical    bool
 }
 
 func newServer(logger *slog.Logger, cfg serveConfig) *server {
@@ -129,11 +114,10 @@ func newServer(logger *slog.Logger, cfg serveConfig) *server {
 		reg: reg,
 		// One pool shared by every request; its gauges and counters land in
 		// the same registry, so /metrics exposes worker occupancy.
-		pool:      engine.NewPool(0, reg),
-		sched:     obs.NewSchedulerMetrics(reg),
-		runs:      obs.NewRunLog(128),
-		timeout:   cfg.requestTimeout,
-		canonical: cfg.canonical,
+		pool:    engine.NewPool(0, reg),
+		sched:   obs.NewSchedulerMetrics(reg),
+		runs:    obs.NewRunLog(128),
+		timeout: cfg.requestTimeout,
 		runMakespan: reg.Histogram("hp_run_makespan",
 			"Makespans of completed runs in simulated milliseconds.", obs.ExpBuckets(1, 2, 20)),
 		runRatio: reg.Histogram("hp_run_ratio",
@@ -163,14 +147,8 @@ func newServer(logger *slog.Logger, cfg serveConfig) *server {
 	}
 	s.tracer = obs.NewTracer(traceEntries)
 	s.tracer.OnFinish = s.recordTrace
-	// Results cross the L2 tier as their JSON encodings; both directions
-	// round-trip exactly (floats re-print shortest, times re-print
-	// RFC3339Nano), so a peer-filled response is byte-identical to the
-	// locally computed one.
-	encSched, decSched := jsonCodec[*scheduleResult]()
-	encRows, decRows := jsonCodec[[]obs.RunSummary]()
-	s.schedCache = shard.NewTiered(serve.NewCache[*scheduleResult](cfg.cacheEntries, reg), cfg.l2, encSched, decSched, reg)
-	s.compareCache = shard.NewTiered(serve.NewCache[[]obs.RunSummary](cfg.cacheEntries, reg), cfg.l2, encRows, decRows, reg)
+	s.schedCache = serve.NewCache[*scheduleResult](cfg.cacheEntries, reg)
+	s.compareCache = serve.NewCache[[]obs.RunSummary](cfg.cacheEntries, reg)
 	maxConcurrent := cfg.maxConcurrent
 	if maxConcurrent <= 0 {
 		maxConcurrent = s.pool.Width()
@@ -187,9 +165,6 @@ func newServer(logger *slog.Logger, cfg serveConfig) *server {
 	s.handlePlain("tracetree", "/trace/{id}", s.handleTraceTree)
 	s.handlePlain("traces", "/traces", s.handleTraces)
 	s.handlePlain("metrics", "/metrics", s.reg.Handler().ServeHTTP)
-	if cfg.l2Store != nil {
-		s.handlePlain("l2", shard.L2Path+"{key}", shard.L2Handler(cfg.l2Store).ServeHTTP)
-	}
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -587,10 +562,6 @@ func validateServeForm(form scheduleForm) (platform.Platform, error) {
 // (names, IDs) in the rendered output. Generation is cheap next to
 // simulation, so the extra build on a miss (executeRun rebuilds its own
 // graph) costs noise.
-//
-// It is a free function on purpose: the replica router derives the same
-// key from the same request without holding any server state, which is
-// what makes router placement and replica caching agree.
 func requestKeyFor(form scheduleForm, algLabel string) (serve.Key, error) {
 	pl, err := validateServeForm(form)
 	if err != nil {
@@ -661,13 +632,6 @@ func (s *server) executeRun(ctx context.Context, form scheduleForm, tl *obs.Time
 	sum.N = form.N
 	sum.Elapsed = float64(time.Since(start).Microseconds()) / 1000
 	s.recordRun(sum)
-	if s.canonical {
-		// The run log and metrics above keep the real identity and timing;
-		// only the response (and therefore the cached/L2-shipped bytes)
-		// loses the volatile fields, making it a pure function of the
-		// request — what the cross-replica byte-identity check diffs.
-		sum.ID, sum.When, sum.Elapsed = "", time.Time{}, 0
-	}
 	return sched, g, sum, nil
 }
 
@@ -783,17 +747,6 @@ func jsonError(w http.ResponseWriter, err error, status int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// jsonCodec builds the encode/decode pair a Tiered cache uses to ship
-// values across the L2 tier.
-func jsonCodec[V any]() (func(V) ([]byte, error), func([]byte) (V, error)) {
-	return func(v V) ([]byte, error) { return json.Marshal(v) },
-		func(b []byte) (V, error) {
-			var v V
-			err := json.Unmarshal(b, &v)
-			return v, err
-		}
 }
 
 // formInt reads an integer form field: an empty value keeps def, any

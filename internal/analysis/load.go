@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one type-checked unit. Mirroring the go tool, each directory
@@ -34,6 +35,8 @@ type Package struct {
 // Loader parses and type-checks the module's packages with a stdlib-only
 // pipeline: go/parser for syntax, go/types for semantics, the source
 // importer for the standard library, and itself for intra-module imports.
+// Every Loader in a process shares one FileSet and one standard-library
+// importer (sharedStd).
 type Loader struct {
 	ModuleRoot string
 	ModulePath string
@@ -55,15 +58,38 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
+	fset, std := sharedStd()
 	return &Loader{
 		ModuleRoot: root,
 		ModulePath: modPath,
 		fset:       fset,
-		std:        importer.ForCompiler(fset, "source", nil),
+		std:        std,
 		cache:      make(map[string]*Package),
 		inProgress: make(map[string]bool),
 	}, nil
+}
+
+// sharedStd returns the process-wide FileSet and standard-library
+// importer. Type-checking net/http and its imports from source takes
+// seconds, and the packages the importer returns are never modified, so
+// one importer serves every Loader; the FileSet is shared because the
+// importer records its positions there.
+var sharedStd = sync.OnceValues(func() (*token.FileSet, *lockedImporter) {
+	fset := token.NewFileSet()
+	return fset, &lockedImporter{imp: importer.ForCompiler(fset, "source", nil)}
+})
+
+// lockedImporter serializes Import: the source importer is not safe for
+// concurrent use.
+type lockedImporter struct {
+	mu  sync.Mutex
+	imp types.Importer
+}
+
+func (l *lockedImporter) Import(path string) (*types.Package, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.imp.Import(path)
 }
 
 func findModuleRoot(dir string) (string, error) {

@@ -18,7 +18,7 @@ import (
 var LockCheck = &Analyzer{
 	Name:      "lockcheck",
 	Doc:       "guarded struct fields must only be accessed with their mutex held",
-	Packages:  []string{"internal/obs", "internal/serve", "internal/shard", "internal/load", "internal/trace", "cmd/hpserve"},
+	Packages:  []string{"internal/obs", "internal/serve", "internal/load", "internal/trace", "cmd/hpserve"},
 	SkipTests: true,
 	Run:       runLockCheck,
 }

@@ -26,7 +26,7 @@ import (
 var ObsGuard = &Analyzer{
 	Name:      "obsguard",
 	Doc:       "observer and span emission must be nil-guarded and pass only non-allocating arguments",
-	Packages:  []string{"internal/core", "internal/engine", "internal/serve", "internal/shard", "internal/load", "internal/trace", "cmd/hpserve"},
+	Packages:  []string{"internal/core", "internal/engine", "internal/serve", "internal/load", "internal/trace", "cmd/hpserve"},
 	SkipTests: true,
 	Run:       runObsGuard,
 }

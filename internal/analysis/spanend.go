@@ -24,7 +24,7 @@ import (
 var SpanEnd = &Analyzer{
 	Name:      "spanend",
 	Doc:       "every span started must reach its End() on all paths",
-	Packages:  []string{"cmd/hpserve", "internal/serve", "internal/shard", "internal/engine", "internal/load"},
+	Packages:  []string{"cmd/hpserve", "internal/serve", "internal/engine", "internal/load"},
 	SkipTests: true,
 	Run:       runSpanEnd,
 }

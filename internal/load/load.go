@@ -198,10 +198,6 @@ type Config struct {
 	Timeout     time.Duration // per-request client timeout
 	TraceSample int           // resolve every Nth OK request's trace; 0 disables
 	Client      *http.Client  // optional; defaults to one with Timeout
-	// Replicas lists replica base URLs to scrape individually before and
-	// after the run (multi-target mode against a router). Usually filled
-	// via DiscoverReplicas; empty means single-target reporting.
-	Replicas []string
 }
 
 // StatusCounts buckets request outcomes by the server's SLO-relevant
@@ -262,8 +258,7 @@ type Report struct {
 	HitRate       float64        `json:"hit_rate"`  // Δ L1 hits / Δ lookups, from /metrics
 	ShedRate      float64        `json:"shed_rate"` // shed / planned requests
 	Latency       LatencyStats   `json:"latency"`
-	Tiers         *TierBreakdown `json:"tiers,omitempty"`    // cache-tier deltas off the target
-	Replicas      []ReplicaStats `json:"replicas,omitempty"` // per-replica deltas (multi-target mode)
+	Tiers         *TierBreakdown `json:"tiers,omitempty"` // cache deltas off the target
 	Phases        []PhaseStat    `json:"phases"`
 	SampledTraces int            `json:"sampled_traces"`
 }
@@ -317,7 +312,6 @@ func RunPlan(ctx context.Context, cfg Config, plan *Plan) (*Report, error) {
 	)
 
 	before := scrapeExposition(ctx, client, base)
-	replicaBefore := scrapeReplicas(ctx, client, cfg.Replicas)
 
 	sem := make(chan struct{}, conc)
 	var wg sync.WaitGroup
@@ -372,7 +366,6 @@ func RunPlan(ctx context.Context, cfg Config, plan *Plan) (*Report, error) {
 	elapsed := time.Since(start)
 
 	after := scrapeExposition(ctx, client, base)
-	replicaAfter := scrapeReplicas(ctx, client, cfg.Replicas)
 
 	rep := &Report{
 		Target:      base,
@@ -395,9 +388,6 @@ func RunPlan(ctx context.Context, cfg Config, plan *Plan) (*Report, error) {
 	rep.Tiers = tierBreakdown(before, after)
 	if rep.Tiers != nil && rep.Tiers.Lookups > 0 {
 		rep.HitRate = rep.Tiers.L1HitRate
-	}
-	for i, u := range cfg.Replicas {
-		rep.Replicas = append(rep.Replicas, replicaStats(u, replicaBefore[i], replicaAfter[i]))
 	}
 	for _, name := range phaseOrder(phases) {
 		h := phases[name]
@@ -511,17 +501,4 @@ func phaseOrder(phases map[string]*obs.HDRHistogram) []string {
 		}
 	})
 	return names
-}
-
-// scrapeReplicas snapshots each replica's exposition; a failed scrape
-// leaves a nil slot (its deltas read as zero).
-func scrapeReplicas(ctx context.Context, client *http.Client, urls []string) []*obs.Exposition {
-	if len(urls) == 0 {
-		return nil
-	}
-	out := make([]*obs.Exposition, len(urls))
-	for i, u := range urls {
-		out[i] = scrapeExposition(ctx, client, u)
-	}
-	return out
 }

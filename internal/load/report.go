@@ -31,19 +31,8 @@ func (r *Report) WriteText(w io.Writer) error {
 	fmt.Fprintf(&b, "  latency    p50=%dus p99=%dus p999=%dus max=%dus mean=%dus\n",
 		r.Latency.P50, r.Latency.P99, r.Latency.P999, r.Latency.Max, r.Latency.Mean)
 	if t := r.Tiers; t != nil {
-		fmt.Fprintf(&b, "  tiers      lookups=%d l1=%d (%.1f%%) l2=%d (%.1f%%) computed=%d\n",
-			t.Lookups, t.L1Hits, t.L1HitRate*100, t.L2Hits, t.L2HitRate*100, t.Computed)
-	}
-	if len(r.Replicas) > 0 {
-		fmt.Fprintf(&b, "  replicas   (requests / runs / l1 / l2 / server p50/p99/p999 us)\n")
-		for _, rs := range r.Replicas {
-			lat := "-"
-			if rs.Latency != nil {
-				lat = fmt.Sprintf("%d/%d/%d", rs.Latency.P50, rs.Latency.P99, rs.Latency.P999)
-			}
-			fmt.Fprintf(&b, "    %-28s %-6d %-6d %-6d %-6d %s\n",
-				rs.URL, rs.Requests, rs.Runs, rs.L1Hits, rs.L2Hits, lat)
-		}
+		fmt.Fprintf(&b, "  tiers      lookups=%d l1=%d (%.1f%%) computed=%d\n",
+			t.Lookups, t.L1Hits, t.L1HitRate*100, t.Computed)
 	}
 	if len(r.Phases) > 0 {
 		fmt.Fprintf(&b, "  phases     (from %d sampled traces; p50/p99 us)\n", r.SampledTraces)

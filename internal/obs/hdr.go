@@ -198,48 +198,6 @@ func (h *HDRHistogram) Quantile(p float64) int64 {
 	return h.Max()
 }
 
-// Merge adds o's observations into h. Merging is commutative and
-// associative in every count-derived reading (Count, Sum, Quantile,
-// Min/Max); the per-bucket exemplar is resolved commutatively too, by
-// keeping the exemplar with the larger value (ties to the larger ID).
-// Merge must not run concurrently with writes to o.
-func (h *HDRHistogram) Merge(o *HDRHistogram) {
-	for i := range o.counts {
-		c := o.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		h.counts[i].Add(c)
-		oid := o.exIDs[i].Load()
-		if oid == 0 {
-			continue
-		}
-		ov := o.exVals[i].Load()
-		hid, hv := h.exIDs[i].Load(), h.exVals[i].Load()
-		if hid == 0 || ov > hv || (ov == hv && oid > hid) {
-			h.exVals[i].Store(ov)
-			h.exIDs[i].Store(oid)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	if om := o.max.Load(); o.count.Load() > 0 {
-		for {
-			old := h.max.Load()
-			if om <= old || h.max.CompareAndSwap(old, om) {
-				break
-			}
-		}
-		omin := o.min.Load()
-		for {
-			old := h.min.Load()
-			if omin >= old || h.min.CompareAndSwap(old, omin) {
-				break
-			}
-		}
-	}
-}
-
 // HDRBucket is one non-empty bucket in a snapshot.
 type HDRBucket struct {
 	// Lo and Hi bound the values recorded in the bucket (inclusive).

@@ -128,48 +128,6 @@ func TestHDRQuantilePropertyMonotoneAndBounded(t *testing.T) {
 	}
 }
 
-func TestHDRMergeCommutes(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 25; trial++ {
-		a1, a2 := NewHDR(), NewHDR()
-		b1, b2 := NewHDR(), NewHDR()
-		for i := 0; i < 500; i++ {
-			v := rng.Int63n(1 << 20)
-			id := uint64(rng.Int63n(50)) // some zero -> no exemplar
-			if i%2 == 0 {
-				a1.RecordExemplar(v, id)
-				a2.RecordExemplar(v, id)
-			} else {
-				b1.RecordExemplar(v, id)
-				b2.RecordExemplar(v, id)
-			}
-		}
-		// Merge(a,b) vs Merge(b,a) into fresh targets.
-		m1, m2 := NewHDR(), NewHDR()
-		m1.Merge(a1)
-		m1.Merge(b1)
-		m2.Merge(b2)
-		m2.Merge(a2)
-		if m1.Count() != m2.Count() || m1.Sum() != m2.Sum() || m1.Max() != m2.Max() || m1.Min() != m2.Min() {
-			t.Fatalf("trial %d: merged aggregates differ", trial)
-		}
-		bk1, bk2 := m1.NonEmptyBuckets(), m2.NonEmptyBuckets()
-		if len(bk1) != len(bk2) {
-			t.Fatalf("trial %d: bucket count %d vs %d", trial, len(bk1), len(bk2))
-		}
-		for i := range bk1 {
-			if bk1[i] != bk2[i] {
-				t.Fatalf("trial %d bucket %d: %+v vs %+v", trial, i, bk1[i], bk2[i])
-			}
-		}
-		for _, p := range []float64{0.5, 0.99, 0.999} {
-			if m1.Quantile(p) != m2.Quantile(p) {
-				t.Fatalf("trial %d: Quantile(%g) differs after merge order swap", trial, p)
-			}
-		}
-	}
-}
-
 func TestHDRBucketInvariants(t *testing.T) {
 	h := NewHDR()
 	rng := rand.New(rand.NewSource(3))

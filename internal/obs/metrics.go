@@ -124,30 +124,6 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
-// GaugeVec is a family of Gauges keyed by the value of one label.
-type GaugeVec struct {
-	label string
-	mu    sync.RWMutex
-	kids  map[string]*Gauge
-}
-
-// With returns (creating if needed) the gauge for the label value.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.RLock()
-	g := v.kids[value]
-	v.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g = v.kids[value]; g == nil {
-		g = &Gauge{}
-		v.kids[value] = g
-	}
-	return g
-}
-
 // HistogramVec is a family of Histograms keyed by the value of one label.
 type HistogramVec struct {
 	label string
@@ -237,14 +213,6 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	}).(*CounterVec)
 }
 
-// GaugeVec registers (or returns the existing) gauge family keyed by the
-// given label name.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	return r.register(name, help, "gauge", func() any {
-		return &GaugeVec{label: label, kids: map[string]*Gauge{}}
-	}).(*GaugeVec)
-}
-
 // HistogramVec registers (or returns the existing) histogram family keyed
 // by the given label name.
 func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *HistogramVec {
@@ -283,12 +251,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case *Histogram:
 			writeHistogram(&b, f.name, "", "", m)
 		case *CounterVec:
-			m.mu.RLock()
-			for _, v := range sortedKeys(m.kids) {
-				writeSample(&b, f.name, m.label, v, m.kids[v].Value())
-			}
-			m.mu.RUnlock()
-		case *GaugeVec:
 			m.mu.RLock()
 			for _, v := range sortedKeys(m.kids) {
 				writeSample(&b, f.name, m.label, v, m.kids[v].Value())
