@@ -104,8 +104,7 @@ func walk(in platform.Instance, pl platform.Platform) (areaWalk, error) {
 		return areaWalk{bound: in.TotalTime(platform.GPU) / n}, nil
 	}
 
-	sorted := in.Clone()
-	sorted.SortByAccelDesc()
+	sorted := in.ByAccelDesc()
 	// Suffix sums of p (CPU work if the whole suffix runs on CPUs).
 	suffixP := make([]float64, len(sorted)+1)
 	for i := len(sorted) - 1; i >= 0; i-- {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dag"
@@ -38,6 +40,38 @@ func BenchmarkQueuePush(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/task")
+		})
+	}
+}
+
+// BenchmarkQueueBatchSort times ordering one pending batch of k keys in
+// seq order, as flush does, with the comparison sort and with the radix
+// sort, per key. The acceleration factors are log-uniform over [1/20, 20]
+// with full mantissas, so every radix digit varies (the radix sort's
+// worst case). radixMinBatch is the k from which the radix sort wins.
+func BenchmarkQueueBatchSort(b *testing.B) {
+	for _, k := range []int{32, 64, 128, 256, 512, 1024, 10000} {
+		rng := rand.New(rand.NewSource(1))
+		keys := make([]queueKey, k)
+		for i := range keys {
+			keys[i] = queueKey{accel: math.Exp((2*rng.Float64() - 1) * math.Log(20)), seq: i, slot: int32(i)}
+		}
+		work, buf := make([]queueKey, k), make([]queueKey, k)
+		b.Run(fmt.Sprintf("sort=compare/k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(work, keys)
+				slices.SortFunc(work, compareKeys)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/key")
+		})
+		b.Run(fmt.Sprintf("sort=radix/k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(work, keys)
+				if _, ok := radixSortKeys(work, buf); !ok {
+					b.Fatal("radix sort refused valid keys")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/key")
 		})
 	}
 }

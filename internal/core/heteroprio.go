@@ -110,13 +110,15 @@ func (r Result) Makespan() float64 { return r.Schedule.Makespan() }
 // executor (package runtime).
 //
 // The order is materialized lazily. Push appends the task and a compact
-// sort key in O(1); the first pop after a batch of pushes sorts the k
-// keys pushed since the previous pop in O(k log k) and merges them into
-// the ordered run in O(k + n) for n queued keys; pops then take the head
-// or the tail of the run in O(1). Filling the queue with n tasks and
-// draining it costs O(n log n) in total. Because keyBefore is a strict
-// total order (seq is unique), the pop sequence is the same as with an
-// insertion-ordered queue.
+// sort key in O(1); the first pop after a batch of pushes orders the k
+// keys pushed since the previous pop and merges them into the ordered
+// run in O(k + n) for n queued keys; pops then take the head or the tail
+// of the run in O(1). A batch of at least radixMinBatch keys without the
+// priority tie-break is ordered by a stable radix sort on the
+// acceleration factor's bits in O(k), any other batch by a comparison
+// sort in O(k log k). Because keyBefore is a strict total order (seq is
+// unique), the pop sequence is the same as with an insertion-ordered
+// queue.
 type Queue struct {
 	// run holds the ordered keys; run[head:] are queued.
 	run  []queueKey
@@ -137,8 +139,17 @@ func NewQueue(usePrio bool) *Queue { return &Queue{usePrio: usePrio} }
 
 // newQueueCap returns an empty queue with room for n pushes before the
 // first pop, so filling it with a known batch never regrows its buffers.
+// When that batch would be radix-sorted, the run's array, which the sort
+// uses as its second buffer, is sized with it in the same allocation.
 func newQueueCap(usePrio bool, n int) Queue {
-	return Queue{usePrio: usePrio, tasks: make([]platform.Task, 0, n), pend: make([]queueKey, 0, n)}
+	q := Queue{usePrio: usePrio, tasks: make([]platform.Task, 0, n)}
+	if usePrio || n < radixMinBatch {
+		q.pend = make([]queueKey, 0, n)
+		return q
+	}
+	keys := make([]queueKey, 2*n)
+	q.pend, q.run = keys[:0:n], keys[n:n]
+	return q
 }
 
 // queueKey is what the queue sorts: pointer-free, so moving keys costs no
@@ -229,21 +240,13 @@ func (q *Queue) take(slot int32) platform.Task {
 	return t
 }
 
-// flush sorts the pending batch and merges it into the ordered run.
+// flush orders the pending batch and merges it into the ordered run.
 func (q *Queue) flush() {
-	if q.usePrio {
-		slices.SortFunc(q.pend, compareKeysPrio)
-	} else {
-		slices.SortFunc(q.pend, compareKeys)
-	}
 	n, k := len(q.run)-q.head, len(q.pend)
-	if n == 0 {
-		// The sorted batch becomes the run; the old run's array becomes
-		// the next batch.
-		q.run, q.head, q.pend = q.pend, 0, q.run[:0]
-		return
-	}
-	if q.head+n+k > cap(q.run) {
+	radix := k >= radixMinBatch && !q.usePrio
+	// Make room for the batch after the run: the merge needs it, and a
+	// radix sort uses it as its second buffer.
+	if (n > 0 || radix) && q.head+n+k > cap(q.run) {
 		if n+k <= cap(q.run)/2 {
 			// Most of the array is popped front space: slide down.
 			copy(q.run, q.run[q.head:])
@@ -254,6 +257,34 @@ func (q *Queue) flush() {
 			q.run = run
 		}
 		q.head = 0
+	}
+	var tail []queueKey
+	inTail, sorted := false, false
+	if radix {
+		tail = q.run[len(q.run) : len(q.run)+k]
+		inTail, sorted = radixSortKeys(q.pend, tail)
+	}
+	if !sorted {
+		if q.usePrio {
+			slices.SortFunc(q.pend, compareKeysPrio)
+		} else {
+			slices.SortFunc(q.pend, compareKeys)
+		}
+	}
+	if n == 0 {
+		if inTail {
+			q.run, q.pend = q.run[:len(q.run)+k], q.pend[:0]
+			return
+		}
+		// The sorted batch becomes the run; the old run's array becomes
+		// the next batch.
+		q.run, q.head, q.pend = q.pend, 0, q.run[:0]
+		return
+	}
+	if inTail {
+		// The merge below would overwrite the batch's front before
+		// reading it.
+		copy(q.pend, tail)
 	}
 	// Merge from the back, so each run key moves at most once and only
 	// the keys that order after the batch's first key move at all.
@@ -269,6 +300,60 @@ func (q *Queue) flush() {
 		}
 	}
 	q.pend = q.pend[:0]
+}
+
+// radixMinBatch is the smallest pending batch flush radix-sorts; below
+// it the comparison sort is faster (BenchmarkQueueBatchSort; EXPERIMENTS.md,
+// "Ordering by ρ").
+const radixMinBatch = 256
+
+// accelBitsMax is math.Float64bits(+Inf). Below it the bits of a
+// non-negative float64 order like its value; above it lie −0, the
+// negative numbers and the NaNs.
+const accelBitsMax = 0x7FF0000000000000
+
+// radixSortKeys orders keys, which must be in seq order, exactly as
+// keyBefore without the priority tie-break orders them: a stable LSD
+// radix sort, one byte at a time, on ^math.Float64bits(accel), which
+// increases as the acceleration factor decreases. keys must not be
+// empty; buf, of len(keys), is the second buffer; byte positions on
+// which every key agrees cost no pass. inBuf reports whether the ordered keys ended in buf rather than
+// in keys. ok is false, and keys are left as they were, if some factor
+// is negative, −0 or NaN, whose bits do not order like their values (a
+// validated task's factor lies in [+0, +Inf]).
+func radixSortKeys(keys, buf []queueKey) (inBuf, ok bool) {
+	var count [8][256]int
+	for i := range keys {
+		b := math.Float64bits(keys[i].accel)
+		if b > accelBitsMax {
+			return false, false
+		}
+		b = ^b
+		for d := range count {
+			count[d][byte(b>>(8*d))]++
+		}
+	}
+	src, dst := keys, buf
+	first := ^math.Float64bits(keys[0].accel)
+	for d := range count {
+		shift := 8 * d
+		c := &count[d]
+		if c[byte(first>>shift)] == len(keys) {
+			continue
+		}
+		var sum int
+		for v := range c {
+			c[v], sum = sum, sum+c[v]
+		}
+		for i := range src {
+			v := byte(^math.Float64bits(src[i].accel) >> shift)
+			dst[c[v]] = src[i]
+			c[v]++
+		}
+		src, dst = dst, src
+		inBuf = !inBuf
+	}
+	return inBuf, true
 }
 
 // compareKeys and compareKeysPrio are keyBefore as the three-way

@@ -74,31 +74,38 @@ func (in Instance) MaxMinTime() float64 {
 	return s
 }
 
-// SortByAccelDesc stable-sorts the instance by non-increasing acceleration
-// factor, preserving input order among ties. This is the HeteroPrio queue
-// order (Algorithm 1, line 1).
-func (in Instance) SortByAccelDesc() {
-	slices.SortStableFunc(in, func(a, b Task) int {
-		return cmp.Compare(b.Accel(), a.Accel())
-	})
+// ByAccelDesc returns a copy of the instance in non-increasing
+// acceleration factor order, ties in input order: the HeteroPrio queue
+// order (Algorithm 1, line 1). Each factor is computed once into a flat
+// (ρ, index) key; the keys are sorted and the tasks gathered in one pass,
+// so no comparison divides or moves a whole Task.
+func (in Instance) ByAccelDesc() Instance {
+	keys := make([]accelKey, len(in))
+	for i := range in {
+		keys[i] = accelKey{rho: in[i].Accel(), i: i}
+	}
+	slices.SortFunc(keys, cmpAccelKeys)
+	out := make(Instance, len(in))
+	for j, key := range keys {
+		out[j] = in[key.i]
+	}
+	return out
 }
 
-// SortByAccelDescPrio stable-sorts by non-increasing acceleration factor and
-// applies the paper's priority tie-break: among tasks with the same
-// acceleration factor, the highest priority comes first when rho >= 1 and
-// last when rho < 1 (so that the worker class that favors that end of the
-// queue picks urgent tasks first).
-func (in Instance) SortByAccelDescPrio() {
-	slices.SortStableFunc(in, func(a, b Task) int {
-		ra, rb := a.Accel(), b.Accel()
-		if ra != rb {
-			return cmp.Compare(rb, ra)
-		}
-		if ra >= 1 {
-			return cmp.Compare(b.Priority, a.Priority)
-		}
-		return cmp.Compare(a.Priority, b.Priority)
-	})
+// accelKey is one task's acceleration factor and index in its instance.
+type accelKey struct {
+	rho float64
+	i   int
+}
+
+// cmpAccelKeys orders keys by non-increasing ρ (cmp.Compare's order, so a
+// NaN comes last and −0 ties +0), ties by increasing index: a strict
+// total order, under which an unstable sort gives the stable one.
+func cmpAccelKeys(a, b accelKey) int {
+	if c := cmp.Compare(b.rho, a.rho); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.i, b.i)
 }
 
 // ByID returns a map from task ID to task value.

@@ -1,8 +1,10 @@
 package platform
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -228,81 +230,66 @@ func TestInstanceEmptyAggregates(t *testing.T) {
 	}
 }
 
-func TestSortByAccelDescStable(t *testing.T) {
+func TestByAccelDescStable(t *testing.T) {
 	in := Instance{
 		{ID: 0, Name: "a", CPUTime: 1, GPUTime: 1},   // rho 1
 		{ID: 1, Name: "b", CPUTime: 4, GPUTime: 1},   // rho 4
 		{ID: 2, Name: "c", CPUTime: 2, GPUTime: 2},   // rho 1 (tie with a, must stay after)
 		{ID: 3, Name: "d", CPUTime: 0.5, GPUTime: 1}, // rho 0.5
 	}
-	in.SortByAccelDesc()
-	got := []int{in[0].ID, in[1].ID, in[2].ID, in[3].ID}
+	sorted := in.ByAccelDesc()
+	got := []int{sorted[0].ID, sorted[1].ID, sorted[2].ID, sorted[3].ID}
 	want := []int{1, 0, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order = %v, want %v", got, want)
 		}
 	}
-}
-
-func TestSortByAccelDescPrio(t *testing.T) {
-	// rho >= 1 ties: higher priority first (toward the GPU end).
-	in := Instance{
-		{ID: 0, CPUTime: 2, GPUTime: 1, Priority: 1},
-		{ID: 1, CPUTime: 2, GPUTime: 1, Priority: 5},
-	}
-	in.SortByAccelDescPrio()
-	if in[0].ID != 1 {
-		t.Errorf("rho>=1 tie: got front ID %d, want 1", in[0].ID)
-	}
-	// rho < 1 ties: lower priority first (urgent at the CPU end = back).
-	in2 := Instance{
-		{ID: 0, CPUTime: 1, GPUTime: 2, Priority: 1},
-		{ID: 1, CPUTime: 1, GPUTime: 2, Priority: 5},
-	}
-	in2.SortByAccelDescPrio()
-	if in2[0].ID != 0 {
-		t.Errorf("rho<1 tie: got front ID %d, want 0", in2[0].ID)
+	if in[0].ID != 0 || in[1].ID != 1 || in[2].ID != 2 || in[3].ID != 3 {
+		t.Fatal("ByAccelDesc reordered its receiver")
 	}
 }
 
-// TestSortsMatchSliceStable holds both acceleration sorts to the
-// reflection-based sort.SliceStable they replaced, on seeded instances
-// where acceleration factors and priorities tie often and times reach the
-// subnormal range and the float64 maximum (so rho can be 0 or +Inf).
+// refSortByAccelDesc is the in-place stable sort the schedulers ran on a
+// Clone before ByAccelDesc, kept as its reference.
+func refSortByAccelDesc(in Instance) {
+	slices.SortStableFunc(in, func(a, b Task) int {
+		return cmp.Compare(b.Accel(), a.Accel())
+	})
+}
+
+// TestSortsMatchSliceStable holds ByAccelDesc to the stable sorts
+// it replaced, refSortByAccelDesc and the reflection-based
+// sort.SliceStable before it, on seeded instances where acceleration
+// factors tie often and times reach the subnormal range and the float64
+// maximum (so rho can be 0 or +Inf): 2000 instances of up to 40 tasks
+// and 20 of 1000 to 3000.
 func TestSortsMatchSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	times := []float64{1, 2, 4, math.SmallestNonzeroFloat64, math.MaxFloat64, 0.5}
 	prios := []float64{0, 1, 2, math.Inf(1), math.Inf(-1)}
-	for trial := 0; trial < 2000; trial++ {
-		in := make(Instance, rng.Intn(40))
+	for trial := 0; trial < 2020; trial++ {
+		n := rng.Intn(40)
+		if trial >= 2000 {
+			n = 1000 + rng.Intn(2001)
+		}
+		in := make(Instance, n)
 		for i := range in {
 			in[i] = Task{ID: i, CPUTime: times[rng.Intn(len(times))], GPUTime: times[rng.Intn(len(times))], Priority: prios[rng.Intn(len(prios))]}
 		}
-		got, want := in.Clone(), in.Clone()
-		got.SortByAccelDesc()
+		orig := in.Clone()
+		got := in.ByAccelDesc()
+		ref, want := in.Clone(), in.Clone()
+		refSortByAccelDesc(ref)
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Accel() > want[j].Accel() })
 		for i := range want {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("trial %d: SortByAccelDesc puts task %d at %d, sort.SliceStable task %d", trial, got[i].ID, i, want[i].ID)
+			if got[i].ID != want[i].ID || ref[i].ID != want[i].ID {
+				t.Fatalf("trial %d (%d tasks): at %d ByAccelDesc puts task %d, refSortByAccelDesc task %d, sort.SliceStable task %d",
+					trial, n, i, got[i].ID, ref[i].ID, want[i].ID)
 			}
 		}
-		got, want = in.Clone(), in.Clone()
-		got.SortByAccelDescPrio()
-		sort.SliceStable(want, func(i, j int) bool {
-			ai, aj := want[i].Accel(), want[j].Accel()
-			if ai != aj {
-				return ai > aj
-			}
-			if ai >= 1 {
-				return want[i].Priority > want[j].Priority
-			}
-			return want[i].Priority < want[j].Priority
-		})
-		for i := range want {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("trial %d: SortByAccelDescPrio puts task %d at %d, sort.SliceStable task %d", trial, got[i].ID, i, want[i].ID)
-			}
+		if !slices.Equal(in, orig) {
+			t.Fatalf("trial %d: ByAccelDesc changed its receiver", trial)
 		}
 	}
 }
@@ -317,7 +304,7 @@ func TestByID(t *testing.T) {
 
 // Property: sorting by acceleration factor never changes the multiset of
 // tasks, and the resulting order is non-increasing in rho.
-func TestSortByAccelDescProperty(t *testing.T) {
+func TestByAccelDescProperty(t *testing.T) {
 	f := func(raw []struct{ P, Q uint16 }) bool {
 		in := make(Instance, 0, len(raw))
 		for i, r := range raw {
@@ -326,7 +313,7 @@ func TestSortByAccelDescProperty(t *testing.T) {
 			in = append(in, Task{ID: i, CPUTime: p, GPUTime: q})
 		}
 		sumBefore := in.TotalTime(CPU) + 3*in.TotalTime(GPU)
-		in.SortByAccelDesc()
+		in = in.ByAccelDesc()
 		if got := in.TotalTime(CPU) + 3*in.TotalTime(GPU); got != sumBefore {
 			return false
 		}

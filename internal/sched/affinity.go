@@ -56,8 +56,7 @@ func AffinityIndependent(in platform.Instance, pl platform.Platform) (*sim.Sched
 	if err := pl.Validate(); err != nil {
 		return nil, err
 	}
-	sorted := in.Clone()
-	sorted.SortByAccelDesc()
+	sorted := in.ByAccelDesc()
 	var dq accelDeque
 	release := func(t platform.Task) { dq.tasks = append(dq.tasks, t) }
 	return runList(pl, sim.Releases{Tasks: sorted}, release, pickRound(affinityPick(&dq, pl), nominal))

@@ -28,9 +28,8 @@ func CLB2CIndependent(in platform.Instance, pl platform.Platform) (*sim.Schedule
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	sorted := in.Clone()
-	sorted.SortByAccelDesc()
-	cp := newClassPlacer(pl)
+	sorted := in.ByAccelDesc()
+	cp := newClassPlacer(pl, len(sorted))
 	lo, hi := 0, len(sorted)-1
 	for lo <= hi {
 		useCPU := false

@@ -43,14 +43,18 @@ func (r Ranking) String() string {
 // per-worker initial loads and the tasks sorted by non-increasing
 // acceleration factor, it either fills out[i] with a worker for sorted[i]
 // such that no worker's total load exceeds 2*lambda, or reports failure
-// (meaning lambda < C_max^Opt, up to the heuristic's guarantee).
+// (meaning lambda < C_max^Opt, up to the heuristic's guarantee). heaps
+// are the per-class load heaps, emptied and refilled from initLoad on
+// every call; the caller owns them so its probes reuse their arrays.
 //
 // Following the paper's description: any task with processing time more
 // than lambda on one resource class is assigned to the other class; then
 // remaining tasks are assigned to the GPUs by decreasing acceleration
 // factor while they fit under 2*lambda, and the rest goes to the CPUs.
-func dualAssign(sorted platform.Instance, pl platform.Platform, initLoad []float64, lambda float64, out []int) bool {
-	var heaps [platform.NumKinds]loadHeap
+func dualAssign(sorted platform.Instance, pl platform.Platform, initLoad []float64, lambda float64, out []int, heaps *[platform.NumKinds]loadHeap) bool {
+	for k := range heaps {
+		heaps[k].xs = heaps[k].xs[:0]
+	}
 	for w := 0; w < pl.Workers(); w++ {
 		heaps[pl.KindOf(w)].push(loadEntry{load: initLoad[w], worker: w})
 	}
@@ -116,18 +120,23 @@ func dualAssign(sorted platform.Instance, pl platform.Platform, initLoad []float
 // tasks sorted by non-increasing acceleration factor and, aligned with
 // them, the per-task worker assignment of the best feasible lambda.
 func dualSearch(tasks platform.Instance, pl platform.Platform, initLoad []float64) (platform.Instance, []int, error) {
-	sorted := tasks.Clone()
-	sorted.SortByAccelDesc()
+	sorted := tasks.ByAccelDesc()
 	best := make([]int, len(sorted))
 	out := make([]int, len(sorted))
+	// One array holds both classes' heaps: workers are numbered CPUs
+	// first, so each heap gets exactly its class's room.
+	var heaps [platform.NumKinds]loadHeap
+	entries := make([]loadEntry, pl.Workers())
+	heaps[platform.CPU].xs = entries[:0:pl.CPUs]
+	heaps[platform.GPU].xs = entries[pl.CPUs:pl.CPUs]
 	hi := dualUpperBound(sorted, pl, initLoad)
 	lo := 0.0
-	if !dualAssign(sorted, pl, initLoad, hi, best) {
+	if !dualAssign(sorted, pl, initLoad, hi, best, &heaps) {
 		return nil, nil, fmt.Errorf("sched: DualHP upper bound %v infeasible", hi)
 	}
 	for i := 0; i < 60 && hi-lo > 1e-6*hi; i++ {
 		mid := (lo + hi) / 2
-		if dualAssign(sorted, pl, initLoad, mid, out) {
+		if dualAssign(sorted, pl, initLoad, mid, out, &heaps) {
 			copy(best, out)
 			hi = mid
 		} else {
@@ -172,7 +181,7 @@ func DualHPIndependent(in platform.Instance, pl platform.Platform) (*sim.Schedul
 	if err != nil {
 		return nil, err
 	}
-	s := &sim.Schedule{Platform: pl}
+	s := &sim.Schedule{Platform: pl, Entries: make([]sim.Entry, 0, len(sorted))}
 	loads := make([]float64, pl.Workers())
 	for i, t := range sorted {
 		w := assign[i]

@@ -43,7 +43,7 @@ func ERLSIndependent(in platform.Instance, pl platform.Platform) (*sim.Schedule,
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	cp := newClassPlacer(pl)
+	cp := newClassPlacer(pl, len(in))
 	for _, t := range sortedByPriorityDesc(in) {
 		cp.place(t, ERLSKind(t, pl))
 	}

@@ -418,7 +418,7 @@ func HLPIndependent(in platform.Instance, pl platform.Platform) (*sim.Schedule, 
 	sort.SliceStable(idx, func(a, b int) bool {
 		return in[idx[a]].Time(kinds[idx[a]]) > in[idx[b]].Time(kinds[idx[b]])
 	})
-	cp := newClassPlacer(pl)
+	cp := newClassPlacer(pl, len(in))
 	for _, i := range idx {
 		cp.place(in[i], kinds[i])
 	}

@@ -55,7 +55,7 @@ func PriorityAwareIndependent(in platform.Instance, pl platform.Platform) (*sim.
 	if err != nil {
 		return nil, err
 	}
-	cp := newClassPlacer(pl)
+	cp := newClassPlacer(pl, len(in))
 	for _, t := range sortedByPriorityDesc(in) {
 		cp.place(t, priAwareKind(t, sol.CPUFraction[t.ID], cp))
 	}

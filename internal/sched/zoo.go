@@ -26,8 +26,9 @@ type classPlacer struct {
 	s     *sim.Schedule
 }
 
-func newClassPlacer(pl platform.Platform) *classPlacer {
-	cp := &classPlacer{pl: pl, s: &sim.Schedule{Platform: pl}}
+// newClassPlacer returns a placer with room for n entries.
+func newClassPlacer(pl platform.Platform, n int) *classPlacer {
+	cp := &classPlacer{pl: pl, s: &sim.Schedule{Platform: pl, Entries: make([]sim.Entry, 0, n)}}
 	for w := 0; w < pl.Workers(); w++ {
 		cp.heaps[pl.KindOf(w)].push(loadEntry{worker: w})
 	}

@@ -124,19 +124,6 @@ func (c *Cache[V]) Waiting() int {
 	return c.waiting
 }
 
-// Get returns the cached value for k without computing, touching LRU
-// recency on a hit. It does not count toward the hit/miss metrics.
-func (c *Cache[V]) Get(k Key) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*centry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Do returns the value for k, computing it with compute on a miss. An
 // error from compute is returned to the caller and every coalesced
 // waiter, and nothing is cached. A waiter whose ctx ends before the

@@ -62,16 +62,23 @@ func TestCacheHitMissEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len %d, want 2", c.Len())
 	}
-	if _, ok := c.Get(keyN(2)); ok {
-		t.Fatal("LRU entry 2 survived the eviction")
-	}
-	if _, ok := c.Get(keyN(1)); !ok {
-		t.Fatal("recently used entry 1 was evicted")
-	}
 	hits, misses, evictions, entries := counters(reg)
 	if hits != 2 || misses != 3 || evictions != 1 || entries != 2 {
 		t.Fatalf("metrics hits=%v misses=%v evictions=%v entries=%v, want 2/3/1/2",
 			hits, misses, evictions, entries)
+	}
+	// Observe the eviction through Do: the recently used entry 1 is
+	// served without computing, and the evicted entry 2 is computed
+	// again.
+	computes := 0
+	count := func(s string) func() (string, error) {
+		return func() (string, error) { computes++; return s, nil }
+	}
+	if got := mustDo(t, c, keyN(1), serve.Hit, count("a")); got != "a" || computes != 0 {
+		t.Fatalf("recently used entry 1: got %q after %d computes, want the cached \"a\" and none", got, computes)
+	}
+	if got := mustDo(t, c, keyN(2), serve.Miss, count("b2")); got != "b2" || computes != 1 {
+		t.Fatalf("evicted entry 2: got %q after %d computes, want a recomputed \"b2\" and one", got, computes)
 	}
 }
 
