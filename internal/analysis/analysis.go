@@ -13,15 +13,10 @@
 //   - maporder: no scheduling-relevant slice built from a map iteration
 //     without a subsequent sort;
 //   - sleepsync: no time.Sleep-based synchronization in tests;
-//   - goroutinecheck: goroutines in the experiment engine and the sweep
-//     drivers carry a visible join and never share a rand.Rand across
-//     the spawn boundary;
 //
-// five flow-sensitive analyzers built on the package's CFG +
+// four flow-sensitive analyzers built on the package's CFG +
 // forward-dataflow engine (cfg.go, dataflow.go):
 //
-//   - unitflow: dimensional analysis — no arithmetic or comparison mixing
-//     time with area or ratio, or milliseconds with seconds;
 //   - lockcheck: mutex discipline — fields declared after a mutex in
 //     their struct are accessed only with it held;
 //   - purity: schedulers treat Platform, task slices, and DAGs as
@@ -121,11 +116,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// All returns the full suite of twelve analyzers in stable order: the
-// six syntactic analyzers, the five flow-sensitive analyzers built on
-// the CFG/dataflow engine (cfg.go, dataflow.go), and allocflow, built on
-// the whole-module call graph (callgraph.go). DESIGN.md §8 keeps a
-// ledger of what each one costs and has caught.
+// All returns the full suite of ten analyzers in stable order: the five
+// syntactic analyzers, the four flow-sensitive analyzers built on the
+// CFG/dataflow engine (cfg.go, dataflow.go), and allocflow, built on the
+// whole-module call graph (callgraph.go). DESIGN.md §8 keeps a ledger of
+// what each one costs, has caught, and catches that no test does.
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism,
@@ -133,8 +128,6 @@ func All() []*Analyzer {
 		ObsGuard,
 		MapOrder,
 		SleepSync,
-		GoroutineCheck,
-		UnitFlow,
 		LockCheck,
 		Purity,
 		ErrFlow,
@@ -207,13 +200,6 @@ func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool
 // isTestFile reports whether the file at pos is a *_test.go file.
 func isTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
-}
-
-// RunAnalyzers runs every analyzer in suite over pkg in isolation (no
-// call graph: interprocedural checks stay quiet) and returns the
-// surviving diagnostics sorted by position.
-func RunAnalyzers(suite []*Analyzer, pkg *Package) []Diagnostic {
-	return RunAnalyzersProgram(suite, pkg, nil)
 }
 
 // RunAnalyzersProgram runs every analyzer in suite over pkg with the

@@ -58,8 +58,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"obsguard", "internal/core", ObsGuard},
 		{"maporder", "internal/sched", MapOrder},
 		{"sleepsync", "internal/sleepfixture", SleepSync},
-		{"goroutinecheck", "internal/engine", GoroutineCheck},
-		{"unitflow", "internal/sim", UnitFlow},
 		{"lockcheck", "internal/obs", LockCheck},
 		{"purity", "internal/sched", Purity},
 		{"errflow", "internal/runtime", ErrFlow},

@@ -501,7 +501,7 @@ func (prog *Program) methodValueEdge(n *Node, info *types.Info, selExpr *ast.Sel
 }
 
 // DumpGraph renders the call graph deterministically, one edge per line,
-// for the -callgraph debug flag and the golden tests.
+// for the call-graph tests.
 func (prog *Program) DumpGraph() string {
 	nodes := append([]*Node(nil), prog.Nodes...)
 	sort.Slice(nodes, func(i, j int) bool {

@@ -14,13 +14,15 @@ import (
 // analyzer's invariant, loads the copy under the package's own path and
 // runs that analyzer alone over it. The finding must land on an edited
 // line, or on the line named by at when the analyzer reports elsewhere
-// (spanend reports at the span's start). The unedited packages are
-// TestRepoIsClean's business.
+// (spanend reports at the span's start). An analyzer's second row is an
+// edit no other test catches (DESIGN.md §8 records which tests catch the
+// first). The unedited packages are TestRepoIsClean's business.
 func TestAnalyzersCatchRepoMutations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a dozen module packages")
 	}
 	cases := []struct {
+		name     string // subtest name of an analyzer's second row; default az.Name
 		az       *Analyzer
 		rel      string // module-relative package path
 		file     string // the edited file
@@ -68,25 +70,21 @@ func TestAnalyzersCatchRepoMutations(t *testing.T) {
 			want: "time.Sleep in a test",
 		},
 		{
-			// engine.Map's workers no longer signal the WaitGroup.
-			az: GoroutineCheck, rel: "internal/engine", file: "engine.go",
-			old:  "\t\tgo func() {\n\t\t\tdefer wg.Done()\n",
-			new:  "\t\tgo func() {\n",
-			want: "no visible join",
-		},
-		{
-			// The area bound's split threshold gets a time.
-			az: UnitFlow, rel: "internal/bounds", file: "area.go",
-			old:  "sol.SplitAccel = w.sorted[w.split].Accel()",
-			new:  "sol.SplitAccel = w.sorted[w.split].Accel() + w.bound",
-			want: "mixes",
-		},
-		{
 			// CounterVec.With's fast path reads the map without the lock.
 			az: LockCheck, rel: "internal/obs", file: "metrics.go",
 			old:  "\tv.mu.RLock()\n\tc := v.kids[value]\n\tv.mu.RUnlock()\n",
 			new:  "\tc := v.kids[value]\n",
 			want: "read of v.kids guarded by mu",
+		},
+		{
+			// The scheduler observer records a queued task without its
+			// lock. hpserve shares one SchedulerMetrics across concurrent
+			// requests, yet no test, -race included, fails on this edit.
+			name: "lockcheck_TaskQueued",
+			az:   LockCheck, rel: "internal/obs", file: "schedmetrics.go",
+			old:  "\tm.mu.Lock()\n\tm.queuedAt[t.ID] = now //hplint:allow allocflow queue-wait bookkeeping, bounded by tasks concurrently in the ready queue\n\tm.mu.Unlock()\n",
+			new:  "\tm.queuedAt[t.ID] = now //hplint:allow allocflow queue-wait bookkeeping, bounded by tasks concurrently in the ready queue\n",
+			want: "m.queuedAt guarded by mu",
 		},
 		{
 			// The historical finding: sorting the scheduler's input in
@@ -109,6 +107,16 @@ func TestAnalyzersCatchRepoMutations(t *testing.T) {
 			old:  "\t\t\tasp.Annotate(\"outcome\", \"shed\")\n\t\t\tasp.End()\n",
 			new:  "\t\t\tasp.Annotate(\"outcome\", \"shed\")\n",
 			at:   "asp = sp.StartChild(\"admission\")",
+			want: "not ended on every path",
+		},
+		{
+			// A cell cancelled while waiting for a pool slot leaves its
+			// span open. No test fails on this edit.
+			name: "spanend_runCell",
+			az:   SpanEnd, rel: "internal/engine", file: "engine.go",
+			old:  "\t\t\tcsp.Annotate(\"outcome\", \"cancelled\")\n\t\t\tcsp.End()\n",
+			new:  "\t\t\tcsp.Annotate(\"outcome\", \"cancelled\")\n",
+			at:   "csp = sp.StartChild(\"cell\")",
 			want: "not ended on every path",
 		},
 		{
@@ -143,7 +151,11 @@ func TestAnalyzersCatchRepoMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cases {
-		t.Run(c.az.Name, func(t *testing.T) {
+		name := c.name
+		if name == "" {
+			name = c.az.Name
+		}
+		t.Run(name, func(t *testing.T) {
 			tmp := t.TempDir()
 			src := filepath.Join(l.ModuleRoot, filepath.FromSlash(c.rel))
 			entries, err := os.ReadDir(src)

@@ -19,10 +19,10 @@ import (
 // allows without ever emitting a diagnostic at the allowed line, so the
 // raw AllocSitesRaw / mutation / swallowed-error positions stand in for
 // them. A doc-comment allocflow contract (Node.Contracted) is live while
-// the function or any direct callee still allocates. Detection runs only
-// on full-module, full-suite runs (cmd/hplint without -dir/-enable, and
-// the repo self-test): a partial run cannot distinguish "stale" from
-// "not exercised here".
+// the function or any direct callee still allocates. Detection needs the
+// whole suite over the whole module, which every cmd/hplint run and the
+// repo self-test provide: a run of fewer analyzers or packages cannot
+// distinguish "stale" from "not exercised here".
 
 // StaleAllows reports every hplint:allow comment in pkgs that no longer
 // suppresses anything. raw must be the concatenated RAW diagnostic

@@ -43,11 +43,6 @@ type Options struct {
 	// the queue: among tasks with equal acceleration factor, highest
 	// priority first when rho >= 1 and last when rho < 1.
 	UsePriorities bool
-	// Eps is the tolerance used for the strict-improvement test of
-	// spoliation: a task is spoliated only if the new completion time
-	// improves on the current one by more than Eps. Defaults to
-	// DefaultEps.
-	Eps float64
 	// ActualTime, if non-nil, gives the actual execution duration of a
 	// task on a class, which may differ from the nominal processing time
 	// the scheduler bases its decisions on (estimation-noise
@@ -76,16 +71,10 @@ func (o Options) actual(t platform.Task, k platform.Kind) float64 {
 	return o.ActualTime(t, k)
 }
 
-// DefaultEps is the spoliation margin when Options.Eps is unset; the live
-// runtime, which has no such option, always uses it.
+// DefaultEps is the spoliation margin of every HeteroPrio run, simulated
+// or live: a task is spoliated only if the new completion time improves
+// on the current one by more than DefaultEps.
 const DefaultEps = 1e-9
-
-func (o Options) eps() float64 {
-	if o.Eps > 0 {
-		return o.Eps
-	}
-	return DefaultEps
-}
 
 // Result is the outcome of a HeteroPrio run.
 type Result struct {
@@ -420,7 +409,6 @@ type listState struct {
 	pl  platform.Platform
 	opt Options
 	o   obs.Observer
-	eps float64
 
 	// victims holds the runs idle workers may spoliate; it is built
 	// only with spoliation enabled.
@@ -515,7 +503,7 @@ func (s *listState) start(w int, kind platform.Kind, t platform.Task, spoliation
 //hplint:hotpath
 func (s *listState) trySpoliate(w int) bool {
 	kind := s.pl.KindOf(w)
-	victim := s.victims.pick(kind, s.k.Now, s.eps)
+	victim := s.victims.pick(kind, s.k.Now, DefaultEps)
 	if victim < 0 {
 		return false
 	}
@@ -623,7 +611,6 @@ func runList(src sim.Releases, pl platform.Platform, opt Options) (Result, error
 		pl:         pl,
 		opt:        opt,
 		o:          opt.Observer,
-		eps:        opt.eps(),
 		g:          src.Graph,
 		tFirstIdle: math.Inf(1),
 	}

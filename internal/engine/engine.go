@@ -51,7 +51,8 @@ type Cell struct {
 
 // Rand returns a fresh deterministic source for the cell. Call it inside
 // the cell function: a *rand.Rand must never cross a goroutine boundary
-// (the goroutinecheck analyzer enforces this for the experiment drivers).
+// (one shared across cells is a data race, which internal/expr's tests
+// report under -race).
 func (c Cell) Rand() *rand.Rand { return rand.New(rand.NewSource(c.Seed)) }
 
 // DeriveSeed maps (base, index) to a well-mixed per-cell seed using the

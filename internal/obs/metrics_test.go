@@ -2,6 +2,7 @@ package obs
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,7 +59,9 @@ func TestExpositionGolden(t *testing.T) {
 
 // TestRegistryConcurrency hammers every metric kind from many goroutines
 // while scraping, so `go test -race` proves the registry is safe under
-// concurrent runs + scrapes.
+// concurrent runs + scrapes. The workers keep adding label values to the
+// labeled families while the scrapes run, so a scrape that reads a
+// family's children without its lock races with an insert.
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "c")
@@ -66,8 +69,9 @@ func TestRegistryConcurrency(t *testing.T) {
 	h := r.Histogram("h", "h", ExpBuckets(1, 2, 8))
 	cv := r.CounterVec("cv_total", "cv", "k")
 	hv := r.HistogramVec("hv", "hv", "k", []float64{1, 10})
+	dv := r.HDRVec("dv", "dv", "k")
 
-	const workers, iters = 8, 1000
+	const workers, iters, grow = 8, 1000, 100
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -80,21 +84,36 @@ func TestRegistryConcurrency(t *testing.T) {
 				h.Observe(float64(i % 300))
 				cv.With(key).Inc()
 				hv.With(key).Observe(float64(i % 20))
+				dv.With(key).Record(int64(i))
+				if i%grow == 0 {
+					fresh := fmt.Sprintf("w%d_%d", w, i)
+					cv.With(fresh).Inc()
+					hv.With(fresh).Observe(1)
+					dv.With(fresh).Record(1)
+				}
 			}
 		}(w)
 	}
-	wg.Add(1)
+	done := make(chan struct{})
+	scraped := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
+		defer close(scraped)
+		for {
 			var b strings.Builder
 			if err := r.WritePrometheus(&b); err != nil {
 				t.Error(err)
 				return
 			}
+			select {
+			case <-done:
+				return
+			default:
+			}
 		}
 	}()
 	wg.Wait()
+	close(done)
+	<-scraped
 
 	if got := c.Value(); got != workers*iters {
 		t.Errorf("counter = %v, want %d", got, workers*iters)
@@ -108,6 +127,13 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if total != workers*iters {
 		t.Errorf("counter vec total = %v, want %d", total, workers*iters)
+	}
+	var hdrTotal uint64
+	for _, k := range []string{"a", "b", "c", "d"} {
+		hdrTotal += dv.With(k).Count()
+	}
+	if hdrTotal != workers*iters {
+		t.Errorf("HDR vec total = %d, want %d", hdrTotal, workers*iters)
 	}
 }
 
