@@ -25,10 +25,6 @@ import (
 // function as accepted. A hotpath marker not attached to a function
 // declaration is itself a finding: a misplaced annotation must fail
 // loudly instead of silently protecting nothing.
-//
-// The analyzer only runs with a whole-module Program (hplint, the repo
-// test, and the program-aware fixtures); per-package isolated runs stay
-// quiet.
 var AllocFlow = &Analyzer{
 	Name:      "allocflow",
 	Doc:       "no allocation reachable from a //hplint:hotpath root",
@@ -38,9 +34,6 @@ var AllocFlow = &Analyzer{
 
 func runAllocFlow(pass *Pass) {
 	prog := pass.Prog
-	if prog == nil {
-		return
-	}
 	// Files of this pass, for attributing orphan markers to the package
 	// being analyzed.
 	inPass := map[string]bool{}

@@ -75,10 +75,9 @@ type Pass struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Prog is the whole-module call graph and summary store (callgraph.go),
-	// or nil when packages are analyzed in isolation. Interprocedural
-	// checks (allocflow, and the call-site halves of purity and errflow)
-	// run only when it is present.
+	// Prog is the whole-module call graph and summary store (callgraph.go)
+	// the interprocedural checks read: allocflow, and the call-site halves
+	// of purity and errflow. It is never nil.
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -205,7 +204,7 @@ func isTestFile(fset *token.FileSet, f *ast.File) bool {
 // RunAnalyzersProgram runs every analyzer in suite over pkg with the
 // whole-module call graph prog available to the interprocedural checks,
 // and returns the surviving (non-suppressed) diagnostics sorted by
-// position.
+// position. prog must be non-nil: BuildProgram over the loaded module.
 func RunAnalyzersProgram(suite []*Analyzer, pkg *Package, prog *Program) []Diagnostic {
 	kept, _ := RunAnalyzersProgramRaw(suite, pkg, prog)
 	return kept

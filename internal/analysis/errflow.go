@@ -221,16 +221,13 @@ func (e *errflow) usedInsideFuncLit(body *ast.BlockStmt) map[types.Object]bool {
 }
 
 // checkSwallowingCallee is the interprocedural half (one level deep,
-// available when a call graph was built): a call from an errflow-scoped
+// on the whole-module call graph): a call from an errflow-scoped
 // package into an in-module helper whose summary says it silently
 // discards an error inside its body is reported at the call site — the
 // caller cannot handle an error it never sees. Helpers in errflow-scoped
 // packages are exempt here because their bodies are already checked
 // directly.
 func (e *errflow) checkSwallowingCallee(n ast.Node) {
-	if e.pass.Prog == nil {
-		return
-	}
 	InspectShallow(n, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)
 		if !ok {

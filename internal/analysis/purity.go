@@ -388,9 +388,7 @@ func runPurity(pass *Pass) {
 				tr.findMutations(n, ts, func(pos token.Pos, msg string) {
 					pass.Reportf(pos, "%s", msg)
 				})
-				if pass.Prog != nil {
-					checkCallSites(pass, tr, n, ts)
-				}
+				checkCallSites(pass, tr, n, ts)
 				ts = tr.transferTaint(&Block{Nodes: []ast.Node{n}}, ts, protectedCarrier)
 			}
 		}

@@ -27,7 +27,7 @@ import (
 // StaleAllows reports every hplint:allow comment in pkgs that no longer
 // suppresses anything. raw must be the concatenated RAW diagnostic
 // streams (RunAnalyzersProgramRaw) of every package in pkgs, and suite
-// the full suite those runs used.
+// the full suite those runs used; prog, non-nil, the Program they shared.
 func StaleAllows(suite []*Analyzer, pkgs []*Package, prog *Program, raw []Diagnostic) []Diagnostic {
 	known := make(map[string]bool, len(suite))
 	for _, a := range suite {
@@ -40,20 +40,18 @@ func StaleAllows(suite []*Analyzer, pkgs []*Package, prog *Program, raw []Diagno
 		}
 		fired[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}] = true
 	}
-	if prog != nil {
-		for _, n := range prog.Nodes {
-			for _, s := range prog.AllocSitesRaw(n) {
-				p := prog.Fset.Position(s.Pos)
-				fired[allowKey{p.Filename, p.Line, "allocflow"}] = true
-			}
-			for _, pos := range prog.mutationSitesRaw(n) {
-				p := prog.Fset.Position(pos)
-				fired[allowKey{p.Filename, p.Line, "purity"}] = true
-			}
-			for _, pos := range prog.swallowSitesRaw(n) {
-				p := prog.Fset.Position(pos)
-				fired[allowKey{p.Filename, p.Line, "errflow"}] = true
-			}
+	for _, n := range prog.Nodes {
+		for _, s := range prog.AllocSitesRaw(n) {
+			p := prog.Fset.Position(s.Pos)
+			fired[allowKey{p.Filename, p.Line, "allocflow"}] = true
+		}
+		for _, pos := range prog.mutationSitesRaw(n) {
+			p := prog.Fset.Position(pos)
+			fired[allowKey{p.Filename, p.Line, "purity"}] = true
+		}
+		for _, pos := range prog.swallowSitesRaw(n) {
+			p := prog.Fset.Position(pos)
+			fired[allowKey{p.Filename, p.Line, "errflow"}] = true
 		}
 	}
 
@@ -115,9 +113,6 @@ func staleDiag(pos token.Position, az string) Diagnostic {
 // function or a direct callee still allocates).
 func contractAllowPositions(pkg *Package, prog *Program, f *ast.File) map[token.Pos]bool {
 	out := map[token.Pos]bool{}
-	if prog == nil {
-		return out
-	}
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Doc == nil {

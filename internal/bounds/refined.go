@@ -27,7 +27,7 @@ func DAGLowerRefined(g *dag.Graph, pl platform.Platform) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	top, err := topLevels(g, pl)
+	top, err := topLevels(g)
 	if err != nil {
 		return 0, err
 	}
@@ -63,17 +63,19 @@ func DAGLowerRefined(g *dag.Graph, pl platform.Platform) (float64, error) {
 // topLevels returns, for each task, the maximum total min-duration weight
 // of a path from a source up to but excluding the task (its earliest
 // possible start time on an unbounded platform).
-func topLevels(g *dag.Graph, pl platform.Platform) ([]float64, error) {
+func topLevels(g *dag.Graph) ([]float64, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
+	// min(p, q) is read in place: MinTime's value receiver would copy
+	// the 48-byte task for every edge.
+	tasks := g.Tasks()
 	top := make([]float64, g.Len())
 	for _, id := range order {
 		var best float64
 		for _, p := range g.Preds(id) {
-			cand := top[p] + dag.NodeWeight(g.Task(p), dag.WeightMin, pl)
-			best = math.Max(best, cand)
+			best = max(best, top[p]+min(tasks[p].CPUTime, tasks[p].GPUTime))
 		}
 		top[id] = best
 	}
@@ -90,10 +92,11 @@ func topLevels(g *dag.Graph, pl platform.Platform) ([]float64, error) {
 // bottom_min(v) - w_min(v), so we reuse the same selection on those
 // values.
 func sweep(g *dag.Graph, pl platform.Platform, levels []float64, fromBottom bool) (float64, error) {
+	tasks := g.Tasks()
 	starts := make([]float64, g.Len())
 	for id := range starts {
 		if fromBottom {
-			starts[id] = levels[id] - dag.NodeWeight(g.Task(id), dag.WeightMin, pl)
+			starts[id] = levels[id] - min(tasks[id].CPUTime, tasks[id].GPUTime)
 		} else {
 			starts[id] = levels[id]
 		}

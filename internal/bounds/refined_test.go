@@ -78,10 +78,12 @@ func TestDAGLowerRefinedStrictlyStronger(t *testing.T) {
 }
 
 // TestDAGLowerRefinedBackwardSweep mirrors the shape: a wide block feeding
-// a heavy chain; only the backward (reversed-DAG) sweep sees it.
+// a heavy chain; only the backward (reversed-DAG) sweep sees it. The
+// block's tasks run twice as long on a GPU, so the sweep must subtract
+// their min(p, q), not max(p, q), from their bottom levels.
 func TestDAGLowerRefinedBackwardSweep(t *testing.T) {
 	g := dag.New()
-	wide := platform.Task{CPUTime: 8, GPUTime: 8}
+	wide := platform.Task{CPUTime: 8, GPUTime: 16}
 	var sources []int
 	for i := 0; i < 12; i++ {
 		sources = append(sources, g.AddTask(wide))
@@ -104,8 +106,10 @@ func TestDAGLowerRefinedBackwardSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refined < 74-1e-9 {
-		t.Errorf("refined = %v, want >= 74 (backward sweep)", refined)
+	// Chain = 50; the block's area on 2+2 is 32 (8 tasks on the CPUs, 4
+	// on the GPUs): refined >= 82.
+	if refined < 82-1e-9 {
+		t.Errorf("refined = %v, want >= 82 (backward sweep)", refined)
 	}
 }
 

@@ -105,30 +105,30 @@ func (g *Graph) Sinks() []int {
 	return out
 }
 
-// TopoOrder returns a topological order of the task IDs (Kahn's algorithm,
-// smallest-ID-first among ready nodes so the order is deterministic), or an
-// error if the graph has a cycle.
+// TopoOrder returns a topological order of the task IDs, or an error if
+// the graph has a cycle. It is Kahn's algorithm with a FIFO ready set, so
+// it runs in O(n + e): the sources come first, in ID order, then each task
+// once its last predecessor has been taken, with the successors of a task
+// in edge-insertion order. Callers may not rely on any particular
+// topological order: bottom levels, top levels, critical paths and the
+// acyclicity check come out the same under every one.
 func (g *Graph) TopoOrder() ([]int, error) {
 	n := len(g.tasks)
-	indeg := make([]int, n)
-	for id := range g.tasks {
-		indeg[id] = len(g.pred[id])
-	}
-	// Min-heap on IDs for determinism.
-	ready := &intHeap{}
-	for id := 0; id < n; id++ {
-		if indeg[id] == 0 {
-			ready.push(id)
+	indeg := make([]int32, n)
+	// order doubles as the FIFO queue: order[head:] are ready, not yet
+	// taken. A task is appended once, when its last predecessor is taken.
+	order := make([]int, 0, n)
+	for id, ps := range g.pred {
+		indeg[id] = int32(len(ps))
+		if len(ps) == 0 {
+			order = append(order, id)
 		}
 	}
-	order := make([]int, 0, n)
-	for ready.len() > 0 {
-		id := ready.pop()
-		order = append(order, id)
-		for _, s := range g.succ[id] {
+	for head := 0; head < len(order); head++ {
+		for _, s := range g.succ[order[head]] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				ready.push(s)
+				order = append(order, s)
 			}
 		}
 	}
@@ -184,37 +184,60 @@ func (w Weighting) String() string {
 // (m*p + n*q) / (m+n), matching HEFT's mean execution cost across all
 // processors of an unrelated platform.
 func NodeWeight(t platform.Task, w Weighting, pl platform.Platform) float64 {
-	switch w {
-	case WeightAvg:
-		m, n := float64(pl.CPUs), float64(pl.GPUs)
-		return (m*t.CPUTime + n*t.GPUTime) / (m + n)
-	case WeightMin:
-		return t.MinTime()
-	case WeightCPU:
-		return t.CPUTime
-	case WeightGPU:
-		return t.GPUTime
-	default:
+	return weigh(w, pl).of(&t)
+}
+
+// weigher is a Weighting resolved against a platform: checked, and with
+// WeightAvg's worker counts converted, once per graph pass rather than
+// once per node.
+type weigher struct {
+	w    Weighting
+	m, n float64
+}
+
+func weigh(w Weighting, pl platform.Platform) weigher {
+	if w < WeightAvg || w > WeightGPU {
 		panic(fmt.Sprintf("dag: unknown weighting %d", int(w)))
 	}
+	return weigher{w: w, m: float64(pl.CPUs), n: float64(pl.GPUs)}
+}
+
+// of returns the weight of t. It reads the two times in place and
+// inlines, so a pass over a graph neither calls nor copies a task per
+// node.
+func (r weigher) of(t *platform.Task) float64 {
+	switch r.w {
+	case WeightAvg:
+		return (r.m*t.CPUTime + r.n*t.GPUTime) / (r.m + r.n)
+	case WeightMin:
+		return min(t.CPUTime, t.GPUTime)
+	case WeightCPU:
+		return t.CPUTime
+	}
+	return t.GPUTime
 }
 
 // BottomLevels returns, for each task, the maximum total node weight of a
 // path from that task to a sink, inclusive of the task itself. This is the
 // standard priority scheme for heterogeneous list scheduling (Section 6.2).
+// It is one reverse pass over a topological order. Its builtin min and max
+// agree with math.Min and math.Max on ±0, ±Inf and NaN, except where a NaN
+// meets the infinity math lets win (max(+Inf, NaN) is NaN, not +Inf):
+// only times that Task.Validate rejects differ.
 func (g *Graph) BottomLevels(w Weighting, pl platform.Platform) ([]float64, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
+	r := weigh(w, pl)
 	bl := make([]float64, len(g.tasks))
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		var best float64
 		for _, s := range g.succ[id] {
-			best = math.Max(best, bl[s])
+			best = max(best, bl[s])
 		}
-		bl[id] = NodeWeight(g.tasks[id], w, pl) + best
+		bl[id] = r.of(&g.tasks[id]) + best
 	}
 	return bl, nil
 }
@@ -230,7 +253,7 @@ func (g *Graph) AssignBottomLevelPriorities(w Weighting, pl platform.Platform) (
 	var cp float64
 	for id, v := range bl {
 		g.tasks[id].Priority = v //hplint:allow purity assigning priorities is this method's documented purpose; callers opt in by name
-		cp = math.Max(cp, v)
+		cp = max(cp, v)
 	}
 	return cp, nil
 }
@@ -245,7 +268,7 @@ func (g *Graph) CriticalPath(w Weighting, pl platform.Platform) (float64, error)
 	}
 	var cp float64
 	for _, v := range bl {
-		cp = math.Max(cp, v)
+		cp = max(cp, v)
 	}
 	return cp, nil
 }
@@ -314,46 +337,4 @@ func FromInstance(in platform.Instance) *Graph {
 		g.AddTask(t)
 	}
 	return g
-}
-
-// intHeap is a tiny min-heap of ints used by TopoOrder.
-type intHeap struct{ xs []int }
-
-func (h *intHeap) len() int { return len(h.xs) }
-
-func (h *intHeap) push(x int) {
-	h.xs = append(h.xs, x)
-	i := len(h.xs) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.xs[p] <= h.xs[i] {
-			break
-		}
-		h.xs[p], h.xs[i] = h.xs[i], h.xs[p]
-		i = p
-	}
-}
-
-func (h *intHeap) pop() int {
-	top := h.xs[0]
-	last := len(h.xs) - 1
-	h.xs[0] = h.xs[last]
-	h.xs = h.xs[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.xs) && h.xs[l] < h.xs[small] {
-			small = l
-		}
-		if r < len(h.xs) && h.xs[r] < h.xs[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.xs[i], h.xs[small] = h.xs[small], h.xs[i]
-		i = small
-	}
-	return top
 }

@@ -9,8 +9,7 @@ type ReadyTracker struct {
 	g       *Graph
 	missing []int  // remaining uncompleted predecessors per task
 	done    []bool // completion flags
-	ready   []int  // queue of ready-but-not-yet-claimed task IDs
-	claimed []bool // tasks handed out via PopReady / Drain
+	ready   []int  // queue of ready-but-not-yet-drained task IDs
 	left    int    // tasks not yet completed
 }
 
@@ -20,7 +19,6 @@ func NewReadyTracker(g *Graph) *ReadyTracker {
 		g:       g,
 		missing: make([]int, g.Len()),
 		done:    make([]bool, g.Len()),
-		claimed: make([]bool, g.Len()),
 		left:    g.Len(),
 	}
 	for id := 0; id < g.Len(); id++ {
@@ -53,9 +51,8 @@ func (rt *ReadyTracker) Complete(id int) {
 	}
 }
 
-// Drain returns the tasks that became ready since the last call, marking
-// them claimed. The caller owns the returned slice; hot loops use
-// DrainShared.
+// Drain returns the tasks that became ready since the last call. The
+// caller owns the returned slice; hot loops use DrainShared.
 func (rt *ReadyTracker) Drain() []int {
 	shared := rt.DrainShared()
 	out := make([]int, len(shared))
@@ -70,9 +67,6 @@ func (rt *ReadyTracker) Drain() []int {
 //
 //hplint:hotpath
 func (rt *ReadyTracker) DrainShared() []int {
-	for _, id := range rt.ready {
-		rt.claimed[id] = true
-	}
 	out := rt.ready
 	rt.ready = rt.ready[:0]
 	return out

@@ -83,10 +83,15 @@ func (t Task) Time(k Kind) float64 {
 func (t Task) Accel() float64 { return t.CPUTime / t.GPUTime }
 
 // MinTime returns min(p, q), a per-task lower bound on the optimal makespan.
-func (t Task) MinTime() float64 { return math.Min(t.CPUTime, t.GPUTime) }
+// The builtin min compiles to a few instructions where math.Min calls an
+// assembly routine on amd64 and arm64. The two agree on ±0, ±Inf and NaN
+// except min(-Inf, NaN), which is NaN rather than -Inf; Validate rejects
+// both times.
+func (t Task) MinTime() float64 { return min(t.CPUTime, t.GPUTime) }
 
-// MaxTime returns max(p, q).
-func (t Task) MaxTime() float64 { return math.Max(t.CPUTime, t.GPUTime) }
+// MaxTime returns max(p, q) with the builtin max, which differs from
+// math.Max only in max(+Inf, NaN): NaN rather than +Inf.
+func (t Task) MaxTime() float64 { return max(t.CPUTime, t.GPUTime) }
 
 // BestKind returns the resource class on which the task is fastest,
 // preferring GPU on exact ties (ties are arbitrary in the model).

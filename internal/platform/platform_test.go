@@ -61,6 +61,39 @@ func TestTaskTime(t *testing.T) {
 	}
 }
 
+// MinTime and MaxTime use the builtin min and max. They must equal
+// math.Min and math.Max bit for bit, ±0 and ±Inf included, except where a
+// NaN meets the infinity math lets win: there the builtins give NaN.
+func TestMinMaxTimeMatchMath(t *testing.T) {
+	inf, negZero := math.Inf(1), math.Copysign(0, -1)
+	vals := []float64{0, negZero, 1, 2, -1, inf, -inf, math.NaN()}
+	same := func(got, want float64) bool {
+		if math.IsNaN(got) || math.IsNaN(want) {
+			return math.IsNaN(got) && math.IsNaN(want)
+		}
+		return math.Float64bits(got) == math.Float64bits(want)
+	}
+	for _, p := range vals {
+		for _, q := range vals {
+			task := Task{CPUTime: p, GPUTime: q}
+			nan := math.IsNaN(p) || math.IsNaN(q)
+			wantMin, wantMax := math.Min(p, q), math.Max(p, q)
+			if nan && (p == -inf || q == -inf) {
+				wantMin = math.NaN()
+			}
+			if nan && (p == inf || q == inf) {
+				wantMax = math.NaN()
+			}
+			if got := task.MinTime(); !same(got, wantMin) {
+				t.Errorf("MinTime(%v, %v) = %v, want %v", p, q, got, wantMin)
+			}
+			if got := task.MaxTime(); !same(got, wantMax) {
+				t.Errorf("MaxTime(%v, %v) = %v, want %v", p, q, got, wantMax)
+			}
+		}
+	}
+}
+
 func TestTaskValidate(t *testing.T) {
 	cases := []struct {
 		name string

@@ -85,7 +85,7 @@ func HEFT(g *dag.Graph, pl platform.Platform, w dag.Weighting) (*sim.Schedule, e
 		t := g.Task(id)
 		var ready float64
 		for _, p := range g.Preds(id) {
-			ready = math.Max(ready, finish[p])
+			ready = max(ready, finish[p])
 		}
 		bestW, bestStart, bestEFT := -1, 0.0, math.Inf(1)
 		for wk := 0; wk < pl.Workers(); wk++ {
