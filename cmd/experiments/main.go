@@ -27,7 +27,7 @@ import (
 
 // logger is the structured run log; main swaps in a live one so run()
 // keeps its plain signature for the tests.
-var logger = obs.NewLogger(nil, false)
+var logger = obs.NewLogger(nil)
 
 func main() {
 	var (
@@ -35,12 +35,11 @@ func main() {
 		out     = flag.String("out", "results", "output directory for CSV files")
 		quick   = flag.Bool("quick", false, "reduced N sweep (fast)")
 		workers = flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS); results are identical for any value")
-		verbose = flag.Bool("v", false, "structured debug logging to stderr; HP_LOG overrides")
 	)
 	flag.Parse()
-	// Logs stay behind -v / HP_LOG: the default CLI output is stdout only.
-	if *verbose || os.Getenv(obs.LogEnv) != "" {
-		logger = obs.NewLogger(os.Stderr, *verbose)
+	// Logs stay behind HP_LOG: the default CLI output is stdout only.
+	if os.Getenv(obs.LogEnv) != "" {
+		logger = obs.NewLogger(os.Stderr)
 	}
 	if err := run(*exp, *out, *quick, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

@@ -4,11 +4,13 @@
 // resolved from sampled request traces.
 //
 // The request plan (arrival times, endpoints, parameters) is a pure
-// function of -seed/-n/-rate/-mix; the -concurrency cap only gates
-// dispatch, so the plan section of the report is reproducible across
-// machines and concurrency levels while the latency section reflects
-// the target's actual behaviour. The report's cache breakdown (lookups,
-// hits, computed) comes from the target's /metrics before and after.
+// function of -seed/-n/-rate over a fixed mix of 9 /schedule requests to
+// 1 /compare; the -concurrency cap only gates dispatch, so the plan
+// section of the report is reproducible across machines and concurrency
+// levels while the latency section reflects the target's actual
+// behaviour. Each request times out after 30 s. The report's cache
+// breakdown (lookups, hits, computed) comes from the target's /metrics
+// before and after.
 //
 //	hpload -url http://127.0.0.1:8080 -n 200 -rate 50 -seed 42 -json report.json
 package main
@@ -20,7 +22,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/load"
 )
@@ -38,21 +39,14 @@ func run() error {
 	rate := flag.Float64("rate", 50, "mean arrival rate in requests per second (Poisson)")
 	concurrency := flag.Int("concurrency", 8, "max in-flight requests (gates dispatch only)")
 	seed := flag.Int64("seed", 1, "plan seed; same seed, same plan at any concurrency")
-	mixFlag := flag.String("mix", "", "request mix as kind=weight[,kind=weight] (default schedule=9,compare=1)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request client timeout")
 	traceSample := flag.Int("trace-sample", 8, "resolve every Nth OK request's trace for the phase breakdown; 0 disables")
 	jsonPath := flag.String("json", "", "also write the report as JSON to this file")
 	flag.Parse()
 
-	mix, err := load.ParseMix(*mixFlag)
-	if err != nil {
-		return err
-	}
 	cfg := load.Config{
 		BaseURL:     *url,
-		Plan:        load.PlanConfig{Requests: *n, Rate: *rate, Seed: *seed, Mix: mix},
+		Plan:        load.PlanConfig{Requests: *n, Rate: *rate, Seed: *seed},
 		Concurrency: *concurrency,
-		Timeout:     *timeout,
 		TraceSample: *traceSample,
 	}
 

@@ -32,7 +32,7 @@ import (
 
 // logger is the structured run log; main swaps in a live one so run()
 // keeps its plain signature for the tests.
-var logger = obs.NewLogger(nil, false)
+var logger = obs.NewLogger(nil)
 
 func main() {
 	var (
@@ -47,12 +47,11 @@ func main() {
 		chromeOut   = flag.String("chrome", "", "write a Chrome trace-event JSON file (open in chrome://tracing or ui.perfetto.dev)")
 		svgOut      = flag.String("svg", "", "write an SVG Gantt chart to this file")
 		workers     = flag.Int("workers", 0, "parallel workers for multi-algorithm runs (0 = GOMAXPROCS)")
-		verbose     = flag.Bool("v", false, "structured debug logging to stderr; HP_LOG overrides")
 	)
 	flag.Parse()
-	// Logs stay behind -v / HP_LOG: the default CLI output is stdout only.
-	if *verbose || os.Getenv(obs.LogEnv) != "" {
-		logger = obs.NewLogger(os.Stderr, *verbose)
+	// Logs stay behind HP_LOG: the default CLI output is stdout only.
+	if os.Getenv(obs.LogEnv) != "" {
+		logger = obs.NewLogger(os.Stderr)
 	}
 
 	if err := run(*alg, *workload, *n, *cpus, *gpus, *independent, *gantt, *csv, *chromeOut, *svgOut, *workers); err != nil {

@@ -90,10 +90,10 @@ func summaryDiff(served, lib obs.RunSummary) string {
 	return ""
 }
 
-// TestServedBodiesMatchLibrary holds hpserve's /schedule and /compare
-// bodies to the library call for the same request: every summary field
-// but the run's identity and timing, bit for bit, and the schedule
-// page's Gantt chart.
+// TestServedBodiesMatchLibrary holds hpserve's /schedule, /compare and
+// /trace bodies to the library call for the same request: every summary
+// field but the run's identity and timing, bit for bit, the schedule
+// page's Gantt chart, and the trace-event JSON byte for byte.
 func TestServedBodiesMatchLibrary(t *testing.T) {
 	srv := newServer(nil, defaultServeConfig())
 	for _, path := range []string{
@@ -104,12 +104,36 @@ func TestServedBodiesMatchLibrary(t *testing.T) {
 		"/schedule?workload=chains&n=6&cpus=4&gpus=2&alg=DualHP-min",
 		"/schedule?workload=uniform&n=5&cpus=3&gpus=1&alg=HEFT-avg",
 		"/compare?workload=cholesky&n=4&cpus=4&gpus=1",
+		"/trace?workload=qr&n=5&cpus=3&gpus=1&alg=HeteroPrio-min",
 	} {
 		u, err := url.Parse(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		q := u.Query()
+		if u.Path == "/trace" {
+			code, body := get(t, srv, path)
+			if code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", path, code, body)
+			}
+			_, sched := librarySummary(t, q, q.Get("alg"))
+			if sched.SpoliationCount() == 0 {
+				t.Fatalf("%s: no spoliation, so no aborted run is compared", path)
+			}
+			n, _ := strconv.Atoi(q.Get("n"))
+			names := map[int]string{}
+			for _, task := range libraryGraph(t, q.Get("workload"), n).Tasks() {
+				names[task.ID] = task.Name
+			}
+			want, err := trace.Chrome(sched, names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if body != string(want) {
+				t.Errorf("%s: the body is not the library schedule's trace.Chrome", path)
+			}
+			continue
+		}
 		code, body := get(t, srv, path+"&format=json")
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", path, code, body)

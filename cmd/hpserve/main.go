@@ -5,12 +5,16 @@
 //
 // Observability endpoints: Prometheus metrics at /metrics (HDR latency
 // buckets carry exemplar trace IDs), recent run summaries as JSON at
-// /runs, live Perfetto traces at /trace, recent request traces at
-// /traces (slowest-first) with per-request span trees at /trace/{id},
-// and the standard pprof handlers under /debug/pprof/. Structured logs
-// go to stderr; -v (or HP_LOG=debug) enables per-request debug lines.
+// /runs, the Perfetto trace of a computed schedule at /trace, recent
+// request traces at /traces (slowest-first) with per-request span trees
+// at /trace/{id}, and the standard pprof handlers under /debug/pprof/.
+// Structured logs go to stderr; HP_LOG=debug enables per-request debug
+// lines.
 //
-//	hpserve -addr :8080 -v
+// The result caches and the trace ring hold 256 entries each, and a
+// request that cannot finish within 10 s is rejected with 503.
+//
+//	HP_LOG=debug hpserve -addr :8080
 package main
 
 import (
@@ -29,27 +33,15 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	verbose := flag.Bool("v", false, "verbose (debug) logging; HP_LOG overrides")
-	def := defaultServeConfig()
-	cacheEntries := flag.Int("cache-entries", def.cacheEntries,
-		"max entries in the schedule result cache (0 keeps a single entry)")
-	queueDepth := flag.Int("queue-depth", def.queueDepth,
+	cfg := defaultServeConfig()
+	flag.IntVar(&cfg.queueDepth, "queue-depth", cfg.queueDepth,
 		"max requests waiting for an execution slot before shedding with 429")
-	requestTimeout := flag.Duration("request-timeout", def.requestTimeout,
-		"per-request deadline; expired requests are rejected with 503")
-	traceEntries := flag.Int("trace-entries", def.traceEntries,
-		"finished request traces retained for /traces and /trace/{id}")
 	flag.Parse()
-	logger := obs.NewLogger(os.Stderr, *verbose)
+	logger := obs.NewLogger(os.Stderr)
 
 	srv := &http.Server{
-		Addr: *addr,
-		Handler: newServer(logger, serveConfig{
-			cacheEntries:   *cacheEntries,
-			queueDepth:     *queueDepth,
-			requestTimeout: *requestTimeout,
-			traceEntries:   *traceEntries,
-		}),
+		Addr:              *addr,
+		Handler:           newServer(logger, cfg),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 

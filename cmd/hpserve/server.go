@@ -35,11 +35,17 @@ import (
 // future per-request seed parameter starts cache-correct by construction.
 const serveSeed = 1
 
-// serveConfig sizes the serving front end: the result cache, the
-// admission valve, and the per-request deadline.
+// The result caches and the request-trace ring are fixed in size:
+// cacheEntries bounds each LRU result cache (entries, not bytes), and
+// traceEntries the finished request traces served at /traces and
+// /trace/{id}.
+const (
+	cacheEntries = 256
+	traceEntries = 256
+)
+
+// serveConfig sizes the admission valve and the per-request deadline.
 type serveConfig struct {
-	// cacheEntries bounds the LRU result cache (entries, not bytes).
-	cacheEntries int
 	// queueDepth bounds how many requests may wait for an execution slot;
 	// arrivals beyond it are shed with 429.
 	queueDepth int
@@ -49,16 +55,10 @@ type serveConfig struct {
 	// requestTimeout is the per-request deadline; a request that cannot
 	// finish in time is rejected with 503.
 	requestTimeout time.Duration
-	// traceEntries bounds the ring of finished request traces served at
-	// /traces and /trace/{id}.
-	traceEntries int
 }
 
 func defaultServeConfig() serveConfig {
-	return serveConfig{
-		cacheEntries: 256, queueDepth: 64,
-		requestTimeout: 10 * time.Second, traceEntries: 256,
-	}
+	return serveConfig{queueDepth: 64, requestTimeout: 10 * time.Second}
 }
 
 // server carries the parsed templates and the observability state: a
@@ -104,9 +104,6 @@ func newServer(logger *slog.Logger, cfg serveConfig) *server {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if cfg.requestTimeout <= 0 {
-		cfg.requestTimeout = defaultServeConfig().requestTimeout
-	}
 	reg := obs.NewRegistry()
 	s := &server{
 		mux: http.NewServeMux(),
@@ -141,14 +138,10 @@ func newServer(logger *slog.Logger, cfg serveConfig) *server {
 		traceDrops: reg.Counter("hp_trace_dropped_spans_total",
 			"Spans discarded by the per-trace retention bound."),
 	}
-	traceEntries := cfg.traceEntries
-	if traceEntries <= 0 {
-		traceEntries = defaultServeConfig().traceEntries
-	}
 	s.tracer = obs.NewTracer(traceEntries)
 	s.tracer.OnFinish = s.recordTrace
-	s.schedCache = serve.NewCache[*scheduleResult](cfg.cacheEntries, reg)
-	s.compareCache = serve.NewCache[[]obs.RunSummary](cfg.cacheEntries, reg)
+	s.schedCache = serve.NewCache[*scheduleResult](cacheEntries, reg)
+	s.compareCache = serve.NewCache[[]obs.RunSummary](cacheEntries, reg)
 	maxConcurrent := cfg.maxConcurrent
 	if maxConcurrent <= 0 {
 		maxConcurrent = s.pool.Width()
@@ -408,10 +401,8 @@ func (s *server) handleRuns(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// handleTrace runs the requested schedule with a live obs.Timeline
-// attached and serves the Perfetto/Chrome trace-event JSON bridged from
-// the captured events (falling back to the post-hoc trace for schedulers
-// outside the HeteroPrio event loop, which emit no events).
+// handleTrace runs the requested schedule and serves it as
+// Perfetto/Chrome trace-event JSON.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
@@ -420,16 +411,15 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, err, s.errStatus(err))
 		return
 	}
-	// Traces attach a live Timeline, so they are never cached, but they
-	// still count against the admission valve like any other simulation.
+	// Traces are never cached, but they still count against the
+	// admission valve like any other simulation.
 	release, err := s.admit.Acquire(ctx)
 	if err != nil {
 		jsonError(w, err, s.errStatus(err))
 		return
 	}
 	defer release()
-	tl := obs.NewTimeline()
-	sched, g, _, err := s.executeRun(ctx, form, tl)
+	sched, g, _, err := s.executeRun(ctx, form)
 	if err != nil {
 		jsonError(w, err, s.errStatus(err))
 		return
@@ -438,12 +428,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	for _, t := range g.Tasks() {
 		names[t.ID] = t.Name
 	}
-	var raw []byte
-	if tl.Len() > 0 {
-		raw, err = trace.ChromeLive(tl, sched.Platform, names)
-	} else {
-		raw, err = trace.Chrome(sched, names)
-	}
+	raw, err := trace.Chrome(sched, names)
 	if err != nil {
 		jsonError(w, err, http.StatusInternalServerError)
 		return
@@ -577,11 +562,11 @@ func requestKeyFor(form scheduleForm, algLabel string) (serve.Key, error) {
 }
 
 // executeRun validates the form, builds the workload, runs the algorithm
-// with the server's live metrics observer (plus tl when non-nil), records
-// the run summary and returns the schedule. The context carries the
-// request deadline: a request that expired while queued or coalesced
-// never reaches the simulator.
-func (s *server) executeRun(ctx context.Context, form scheduleForm, tl *obs.Timeline) (*sim.Schedule, *dag.Graph, obs.RunSummary, error) {
+// with the server's live metrics observer, records the run summary and
+// returns the schedule. The context carries the request deadline: a
+// request that expired while queued or coalesced never reaches the
+// simulator.
+func (s *server) executeRun(ctx context.Context, form scheduleForm) (*sim.Schedule, *dag.Graph, obs.RunSummary, error) {
 	var zero obs.RunSummary
 	if err := ctx.Err(); err != nil {
 		return nil, nil, zero, err
@@ -595,9 +580,6 @@ func (s *server) executeRun(ctx context.Context, form scheduleForm, tl *obs.Time
 		return nil, nil, zero, err
 	}
 	var o obs.Observer = s.sched
-	if tl != nil {
-		o = obs.Multi(s.sched, tl)
-	}
 	// The compute span covers simulation + validation + bound + summary,
 	// bridged to the scheduler's observer stream: its annotations carry
 	// the simulated task/spoliation/makespan quantities of this very run.
@@ -667,7 +649,7 @@ func (s *server) runSchedule(ctx context.Context, form scheduleForm) (*scheduleR
 		}
 		defer release()
 		return engine.One(ctx, s.pool, func(ctx context.Context) (*scheduleResult, error) {
-			sched, _, sum, err := s.executeRun(ctx, form, nil)
+			sched, _, sum, err := s.executeRun(ctx, form)
 			if err != nil {
 				return nil, err
 			}
@@ -708,7 +690,7 @@ func (s *server) runCompare(ctx context.Context, form scheduleForm) ([]obs.RunSu
 			func(ctx context.Context, c engine.Cell) (obs.RunSummary, error) {
 				f := form
 				f.Alg = algs[c.Index]
-				_, _, sum, err := s.executeRun(ctx, f, nil)
+				_, _, sum, err := s.executeRun(ctx, f)
 				return sum, err
 			})
 	})

@@ -3,7 +3,8 @@
 // announces. Worker goroutines of the "CPU class" run naive kernels and
 // the "GPU class" runs blocked, loop-reordered kernels, so the
 // acceleration factors are real and measured, not simulated. The result
-// is verified numerically against a dense reference factorization.
+// is verified numerically against a dense reference factorization: the
+// command exits 1 when any entry of L is off by 1e-8 or more.
 package main
 
 import (
@@ -22,8 +23,8 @@ func main() {
 	n, b := 480, 96
 	if len(os.Args) > 1 {
 		v, err := strconv.Atoi(os.Args[1])
-		if err != nil || v%b != 0 {
-			log.Fatalf("usage: realcholesky [size divisible by %d]", b)
+		if err != nil || v <= 0 || v%b != 0 {
+			log.Fatalf("usage: realcholesky [positive size divisible by %d]", b)
 		}
 		n = v
 	}
@@ -68,15 +69,16 @@ func main() {
 		}
 	}
 
+	wrong := !(maxErr < 1e-8) // a NaN error is wrong too
+	verdict := "numerically correct"
+	if wrong {
+		verdict = "WRONG"
+	}
 	fmt.Printf("\n%d tasks in %v, %d spoliations\n", g.Len(), rep.Wall, rep.Spoliations)
-	fmt.Printf("max |L - L_ref| = %.2e  (%s)\n", maxErr, verdict(maxErr))
+	fmt.Printf("max |L - L_ref| = %.2e  (%s)\n", maxErr, verdict)
 	fmt.Printf("\nmeasured trace (x = aborted/spoliated run):\n")
 	fmt.Print(rep.Trace.Gantt(100))
-}
-
-func verdict(e float64) string {
-	if e < 1e-8 {
-		return "numerically correct"
+	if wrong {
+		os.Exit(1)
 	}
-	return "WRONG"
 }

@@ -117,12 +117,13 @@ type Program struct {
 	orphanHotpaths []token.Pos
 
 	// summary caches (see summary.go).
-	allocSites   map[*Node][]AllocSite
-	mayAlloc     map[*Node]bool
-	mutates      map[*Node][]int
-	swallows     map[*Node]token.Pos
-	ifaceTargets map[*types.Interface][]*Node
-	allTypes     []types.Type
+	allocSites    map[*Node][]AllocSite
+	mayAlloc      map[*Node]bool
+	mutationSites map[*Node][]mutationSite
+	mutates       map[*Node][]int
+	swallowSites  map[*Node][]token.Pos
+	ifaceTargets  map[*types.Interface][]*Node
+	allTypes      []types.Type
 }
 
 const hotpathPrefix = "//hplint:hotpath"
@@ -140,12 +141,13 @@ func (prog *Program) NodeOf(fn *types.Func) *Node {
 // duplicate the base units' objects without adding reachable code.
 func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		byFunc:       map[*types.Func]*Node{},
-		byLit:        map[*ast.FuncLit]*Node{},
-		allocSites:   map[*Node][]AllocSite{},
-		mutates:      map[*Node][]int{},
-		swallows:     map[*Node]token.Pos{},
-		ifaceTargets: map[*types.Interface][]*Node{},
+		byFunc:        map[*types.Func]*Node{},
+		byLit:         map[*ast.FuncLit]*Node{},
+		allocSites:    map[*Node][]AllocSite{},
+		mutationSites: map[*Node][]mutationSite{},
+		mutates:       map[*Node][]int{},
+		swallowSites:  map[*Node][]token.Pos{},
+		ifaceTargets:  map[*types.Interface][]*Node{},
 	}
 	var base []*Package
 	for _, p := range pkgs {

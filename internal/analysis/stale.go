@@ -45,8 +45,8 @@ func StaleAllows(suite []*Analyzer, pkgs []*Package, prog *Program, raw []Diagno
 			p := prog.Fset.Position(s.Pos)
 			fired[allowKey{p.Filename, p.Line, "allocflow"}] = true
 		}
-		for _, pos := range prog.mutationSitesRaw(n) {
-			p := prog.Fset.Position(pos)
+		for _, s := range prog.mutationSitesRaw(n) {
+			p := prog.Fset.Position(s.pos)
 			fired[allowKey{p.Filename, p.Line, "purity"}] = true
 		}
 		for _, pos := range prog.swallowSitesRaw(n) {
@@ -148,63 +148,4 @@ func contractLive(prog *Program, pkg *Package, fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-// mutationSitesRaw collects every parameter/receiver mutation position
-// in n, ignoring allows — the raw sibling of MutatesParams for the
-// stale-allow liveness check.
-func (prog *Program) mutationSitesRaw(n *Node) []token.Pos {
-	if n.Obj == nil {
-		return nil
-	}
-	var out []token.Pos
-	for _, cand := range entryCandidates(n) {
-		tr := &taintTracker{info: n.Pkg.Info}
-		g := BuildCFG(n.Body)
-		res := Solve(&FlowProblem[taintSet]{
-			CFG:      g,
-			Entry:    taintSet{cand.obj: true},
-			Join:     joinTaint,
-			Equal:    equalTaint,
-			Transfer: func(b *Block, in taintSet) taintSet { return tr.transferTaint(b, in, isRefLike) },
-		})
-		for _, b := range g.Blocks {
-			if !res.Reached[b.Index] {
-				continue
-			}
-			ts := res.In[b.Index]
-			for _, node := range b.Nodes {
-				tr.findMutations(node, ts, func(pos token.Pos, _ string) {
-					out = append(out, pos)
-				})
-				ts = tr.transferTaint(&Block{Nodes: []ast.Node{node}}, ts, isRefLike)
-			}
-		}
-	}
-	return out
-}
-
-// swallowSitesRaw collects every swallowed-error call position in n,
-// ignoring allows — the raw sibling of SwallowsError.
-func (prog *Program) swallowSitesRaw(n *Node) []token.Pos {
-	if n.Obj == nil {
-		return nil
-	}
-	info := n.Pkg.Info
-	var out []token.Pos
-	inspectOwn(n.Body, n.Lit, func(m ast.Node) bool {
-		es, ok := m.(*ast.ExprStmt)
-		if !ok {
-			return true
-		}
-		call, ok := es.X.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if tv, okT := info.Types[call]; okT && hasErrorResult(tv.Type) && !ignoredErrorCallInfo(info, call) {
-			out = append(out, call.Pos())
-		}
-		return true
-	})
-	return out
 }

@@ -124,6 +124,12 @@ func (prog *Program) allowedLines(pkg *Package, name string) map[string]bool {
 	return out
 }
 
+// onLine reports whether pos lies on one of the allowedLines keys.
+func (prog *Program) onLine(allowed map[string]bool, pos token.Pos) bool {
+	p := prog.Fset.Position(pos)
+	return allowed[fmt.Sprintf("%s:%d", p.Filename, p.Line)]
+}
+
 // allocSitesEffective filters the raw sites through the node's contract
 // and the positional allow comments of its own package: an allowed site
 // is clean for every caller, not just at the reporting position.
@@ -141,11 +147,9 @@ func (prog *Program) allocSitesEffective(n *Node) []AllocSite {
 	}
 	var out []AllocSite
 	for _, s := range raw {
-		pos := prog.Fset.Position(s.Pos)
-		if allowed[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)] {
-			continue
+		if !prog.onLine(allowed, s.Pos) {
+			out = append(out, s)
 		}
-		out = append(out, s)
 	}
 	return out
 }
@@ -799,6 +803,50 @@ func containsNode(root ast.Node, target ast.Node) bool {
 
 // ---- mutation summaries (purity) ----
 
+// mutationSite is one store through, or in-place sort of, a
+// reference-like entry of a function.
+type mutationSite struct {
+	pos   token.Pos
+	entry int // entryCandidate.index: parameter position, -1 = receiver
+}
+
+// mutationSitesRaw returns every mutation site of n's entries, ignoring
+// allows, grouped by entry in entryCandidates order. It is the raw
+// summary behind MutatesParams and the stale-allow liveness check.
+func (prog *Program) mutationSitesRaw(n *Node) []mutationSite {
+	if sites, ok := prog.mutationSites[n]; ok {
+		return sites
+	}
+	var out []mutationSite
+	if n.Obj != nil { // literals keep their effects local to their node
+		tr := &taintTracker{info: n.Pkg.Info}
+		g := BuildCFG(n.Body)
+		for _, cand := range entryCandidates(n) {
+			res := Solve(&FlowProblem[taintSet]{
+				CFG:      g,
+				Entry:    taintSet{cand.obj: true},
+				Join:     joinTaint,
+				Equal:    equalTaint,
+				Transfer: func(b *Block, in taintSet) taintSet { return tr.transferTaint(b, in, isRefLike) },
+			})
+			for _, b := range g.Blocks {
+				if !res.Reached[b.Index] {
+					continue
+				}
+				ts := res.In[b.Index]
+				for _, node := range b.Nodes {
+					tr.findMutations(node, ts, func(pos token.Pos, _ string) {
+						out = append(out, mutationSite{pos: pos, entry: cand.index})
+					})
+					ts = tr.transferTaint(&Block{Nodes: []ast.Node{node}}, ts, isRefLike)
+				}
+			}
+		}
+	}
+	prog.mutationSites[n] = out
+	return out
+}
+
 // MutatesParams returns the entry positions n may store through or sort
 // in place: 0..len(params)-1 for parameters, -1 for the receiver. Only
 // reference-like entries (pointer, slice, map, named slice) are
@@ -809,11 +857,14 @@ func (prog *Program) MutatesParams(n *Node) []int {
 		return m
 	}
 	var out []int
-	if n.Obj != nil { // literals keep their effects local to their node
+	if sites := prog.mutationSitesRaw(n); len(sites) > 0 {
 		allowed := prog.allowedLines(n.Pkg, "purity")
-		for _, cand := range entryCandidates(n) {
-			if mutatesEntry(n, cand.obj, allowed, prog.Fset) {
-				out = append(out, cand.index)
+		for _, s := range sites {
+			if len(out) > 0 && out[len(out)-1] == s.entry {
+				continue
+			}
+			if !prog.onLine(allowed, s.pos) {
+				out = append(out, s.entry)
 			}
 		}
 	}
@@ -867,56 +918,20 @@ func entryCandidates(n *Node) []entryCandidate {
 	return out
 }
 
-// mutatesEntry runs the purity taint machinery with a single tainted
-// entry object and reports whether any store/sort lands on it.
-func mutatesEntry(n *Node, obj types.Object, allowed map[string]bool, fset *token.FileSet) bool {
-	tr := &taintTracker{info: n.Pkg.Info}
-	g := BuildCFG(n.Body)
-	entry := taintSet{obj: true}
-	res := Solve(&FlowProblem[taintSet]{
-		CFG:      g,
-		Entry:    entry,
-		Join:     joinTaint,
-		Equal:    equalTaint,
-		Transfer: func(b *Block, in taintSet) taintSet { return tr.transferTaint(b, in, isRefLike) },
-	})
-	mutated := false
-	for _, b := range g.Blocks {
-		if mutated || !res.Reached[b.Index] {
-			continue
-		}
-		ts := res.In[b.Index]
-		for _, node := range b.Nodes {
-			tr.findMutations(node, ts, func(pos token.Pos, _ string) {
-				p := fset.Position(pos)
-				if !allowed[fmt.Sprintf("%s:%d", p.Filename, p.Line)] {
-					mutated = true
-				}
-			})
-			ts = tr.transferTaint(&Block{Nodes: []ast.Node{node}}, ts, isRefLike)
-		}
-	}
-	return mutated
-}
-
 // ---- swallowed-error summaries (errflow) ----
 
-// SwallowsError returns the position of a statement-position call inside
-// n whose error result is silently discarded (fmt printers, never-fail
-// writers, explicit `_ =` discards, and //hplint:allow errflow lines are
-// exempt), or token.NoPos.
-func (prog *Program) SwallowsError(n *Node) token.Pos {
-	if pos, ok := prog.swallows[n]; ok {
-		return pos
+// swallowSitesRaw returns every statement-position call in n whose error
+// result is silently discarded, ignoring allows (fmt printers, never-fail
+// writers and explicit `_ =` discards are exempt). It is the raw summary
+// behind SwallowsError and the stale-allow liveness check.
+func (prog *Program) swallowSitesRaw(n *Node) []token.Pos {
+	if sites, ok := prog.swallowSites[n]; ok {
+		return sites
 	}
-	pos := token.NoPos
+	var out []token.Pos
 	if n.Obj != nil {
-		allowed := prog.allowedLines(n.Pkg, "errflow")
 		info := n.Pkg.Info
 		inspectOwn(n.Body, n.Lit, func(m ast.Node) bool {
-			if pos != token.NoPos {
-				return false
-			}
 			es, ok := m.(*ast.ExprStmt)
 			if !ok {
 				return true
@@ -925,18 +940,28 @@ func (prog *Program) SwallowsError(n *Node) token.Pos {
 			if !ok {
 				return true
 			}
-			tv, ok := info.Types[call]
-			if !ok || !hasErrorResult(tv.Type) || ignoredErrorCallInfo(info, call) {
-				return true
+			if tv, okT := info.Types[call]; okT && hasErrorResult(tv.Type) && !ignoredErrorCallInfo(info, call) {
+				out = append(out, call.Pos())
 			}
-			p := prog.Fset.Position(call.Pos())
-			if allowed[fmt.Sprintf("%s:%d", p.Filename, p.Line)] {
-				return true
-			}
-			pos = call.Pos()
-			return false
+			return true
 		})
 	}
-	prog.swallows[n] = pos
-	return pos
+	prog.swallowSites[n] = out
+	return out
+}
+
+// SwallowsError returns the position of the first raw swallow site in n
+// that no //hplint:allow errflow line exempts, or token.NoPos.
+func (prog *Program) SwallowsError(n *Node) token.Pos {
+	sites := prog.swallowSitesRaw(n)
+	if len(sites) == 0 {
+		return token.NoPos
+	}
+	allowed := prog.allowedLines(n.Pkg, "errflow")
+	for _, pos := range sites {
+		if !prog.onLine(allowed, pos) {
+			return pos
+		}
+	}
+	return token.NoPos
 }

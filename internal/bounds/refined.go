@@ -23,7 +23,7 @@ import (
 // The sweep over the distinct level values includes theta = 0, so the
 // result is always at least the plain DAGLower bound.
 func DAGLowerRefined(g *dag.Graph, pl platform.Platform) (float64, error) {
-	base, err := DAGLower(g, pl)
+	area, err := Lower(g.Tasks(), pl)
 	if err != nil {
 		return 0, err
 	}
@@ -35,8 +35,15 @@ func DAGLowerRefined(g *dag.Graph, pl platform.Platform) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	// DAGLower, read off bottom instead of a second bottom-level pass:
+	// the critical path is the largest min-weight bottom level, floored
+	// at 0 as in Graph.CriticalPath.
+	var cp float64
+	for _, v := range bottom {
+		cp = max(cp, v)
+	}
 
-	best := base
+	best := math.Max(area, cp)
 	// Forward sweep: C >= theta + Area(tasks with top_min >= theta).
 	fw, err := sweep(g, pl, top, false)
 	if err != nil {

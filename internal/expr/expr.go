@@ -64,17 +64,9 @@ func AllIndepAlgorithms() []string {
 
 // RunIndependent executes the named independent-task scheduler.
 func RunIndependent(name string, in platform.Instance, pl platform.Platform) (*sim.Schedule, error) {
-	return RunIndependentObserved(name, in, pl, nil)
-}
-
-// RunIndependentObserved is RunIndependent with a live Observer attached.
-// Only the HeteroPrio event loop emits events; the comparison schedulers
-// (DualHP, HEFT) run unobserved and their metrics are derived post hoc
-// from the returned schedule.
-func RunIndependentObserved(name string, in platform.Instance, pl platform.Platform, o obs.Observer) (*sim.Schedule, error) {
 	switch name {
 	case "HeteroPrio":
-		res, err := core.ScheduleIndependent(in, pl, core.Options{Observer: o})
+		res, err := core.ScheduleIndependent(in, pl, core.Options{})
 		if err != nil {
 			return nil, err
 		}

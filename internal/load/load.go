@@ -46,44 +46,19 @@ const (
 	KindCompare  = "compare"
 )
 
-// DefaultMix leans on the cheap endpoint, with a minority of expensive
-// all-algorithm comparisons — roughly a dashboard's traffic shape.
+// DefaultMix is every plan's request mix, in draw order: it leans on
+// the cheap endpoint, with a minority of expensive all-algorithm
+// comparisons — roughly a dashboard's traffic shape.
 func DefaultMix() []MixEntry {
 	return []MixEntry{{Kind: KindSchedule, Weight: 9}, {Kind: KindCompare, Weight: 1}}
 }
 
-// ParseMix parses "schedule=9,compare=1" into mix entries, preserving
-// the order given (order matters: it is part of the plan's seed stream).
-func ParseMix(s string) ([]MixEntry, error) {
-	if strings.TrimSpace(s) == "" {
-		return DefaultMix(), nil
-	}
-	var mix []MixEntry
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("load: mix entry %q is not kind=weight", part)
-		}
-		w, err := strconv.Atoi(kv[1])
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("load: mix weight %q must be a positive integer", kv[1])
-		}
-		switch kv[0] {
-		case KindSchedule, KindCompare:
-		default:
-			return nil, fmt.Errorf("load: unknown request kind %q", kv[0])
-		}
-		mix = append(mix, MixEntry{Kind: kv[0], Weight: w})
-	}
-	return mix, nil
-}
-
-// PlanConfig seeds the deterministic request plan.
+// PlanConfig seeds the deterministic request plan, whose request kinds
+// are drawn from DefaultMix.
 type PlanConfig struct {
-	Requests int        `json:"requests"`
-	Rate     float64    `json:"rate"` // mean arrivals per second (Poisson)
-	Seed     int64      `json:"seed"`
-	Mix      []MixEntry `json:"mix"`
+	Requests int     `json:"requests"`
+	Rate     float64 `json:"rate"` // mean arrivals per second (Poisson)
+	Seed     int64   `json:"seed"`
 }
 
 // PlannedRequest is one fully-determined request: when it arrives and
@@ -129,11 +104,7 @@ func BuildPlan(cfg PlanConfig) (*Plan, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("load: rate must be positive, got %g", cfg.Rate)
 	}
-	mix := cfg.Mix
-	if len(mix) == 0 {
-		mix = DefaultMix()
-		cfg.Mix = mix
-	}
+	mix := DefaultMix()
 	total := 0
 	for _, m := range mix {
 		total += m.Weight
@@ -190,14 +161,16 @@ func (r PlannedRequest) Path() string {
 	return "/" + r.Kind + "?" + r.Query
 }
 
+// clientTimeout bounds each request of a load run, trace fetches and
+// /metrics scrapes included.
+const clientTimeout = 30 * time.Second
+
 // Config drives one load run.
 type Config struct {
 	BaseURL     string
 	Plan        PlanConfig
-	Concurrency int           // in-flight request cap (dispatch gate only)
-	Timeout     time.Duration // per-request client timeout
-	TraceSample int           // resolve every Nth OK request's trace; 0 disables
-	Client      *http.Client  // optional; defaults to one with Timeout
+	Concurrency int // in-flight request cap (dispatch gate only)
+	TraceSample int // resolve every Nth OK request's trace; 0 disables
 }
 
 // StatusCounts buckets request outcomes by the server's SLO-relevant
@@ -285,21 +258,14 @@ func RunPlan(ctx context.Context, cfg Config, plan *Plan) (*Report, error) {
 	if conc <= 0 {
 		conc = 8
 	}
-	client := cfg.Client
-	if client == nil {
-		timeout := cfg.Timeout
-		if timeout <= 0 {
-			timeout = 30 * time.Second
-		}
-		// One target host at up to `conc` in-flight requests: the default
-		// transport's 2 idle connections per host would turn the harness
-		// into a connection-churn benchmark. Size the idle pool to the
-		// concurrency cap so the measured latency is the target's.
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConns = 2 * conc
-		tr.MaxIdleConnsPerHost = conc
-		client = &http.Client{Timeout: timeout, Transport: tr}
-	}
+	// One target host at up to `conc` in-flight requests: the default
+	// transport's 2 idle connections per host would turn the harness
+	// into a connection-churn benchmark. Size the idle pool to the
+	// concurrency cap so the measured latency is the target's.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 2 * conc
+	tr.MaxIdleConnsPerHost = conc
+	client := &http.Client{Timeout: clientTimeout, Transport: tr}
 
 	var (
 		hist = obs.NewHDR()
@@ -374,7 +340,7 @@ func RunPlan(ctx context.Context, cfg Config, plan *Plan) (*Report, error) {
 			Seed:      plan.Config.Seed,
 			Requests:  plan.Config.Requests,
 			Rate:      plan.Config.Rate,
-			Mix:       plan.Config.Mix,
+			Mix:       DefaultMix(),
 			MixCounts: plan.MixCounts,
 			Hash:      plan.Hash,
 		},

@@ -90,25 +90,6 @@ func TestBuildPlanErrors(t *testing.T) {
 	}
 }
 
-func TestParseMix(t *testing.T) {
-	mix, err := ParseMix("schedule=3,compare=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []MixEntry{{KindSchedule, 3}, {KindCompare, 2}}
-	if len(mix) != 2 || mix[0] != want[0] || mix[1] != want[1] {
-		t.Fatalf("mix %v", mix)
-	}
-	if mix, err := ParseMix(""); err != nil || len(mix) != 2 {
-		t.Fatalf("empty mix: %v %v", mix, err)
-	}
-	for _, bad := range []string{"schedule", "schedule=0", "schedule=x", "bogus=1"} {
-		if _, err := ParseMix(bad); err == nil {
-			t.Errorf("mix %q accepted", bad)
-		}
-	}
-}
-
 // stubServer mimics hpserve's surface closely enough to exercise the
 // executor: JSON bodies, X-Trace-Id headers, a resolvable /trace/{id},
 // cache counters on /metrics, and a deterministic shed on one request.

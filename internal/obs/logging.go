@@ -16,17 +16,13 @@ import (
 const LogEnv = "HP_LOG"
 
 // NewLogger builds the structured run logger shared by the commands:
-// text (or JSON) records on w at Info level, raised to Debug by verbose
-// or overridden by the HP_LOG environment variable. A nil w discards
-// everything.
-func NewLogger(w io.Writer, verbose bool) *slog.Logger {
+// text (or JSON) records on w at Info level, or at the level the HP_LOG
+// environment variable names. A nil w discards everything.
+func NewLogger(w io.Writer) *slog.Logger {
 	if w == nil {
 		w = io.Discard
 	}
 	level := slog.LevelInfo
-	if verbose {
-		level = slog.LevelDebug
-	}
 	json := false
 	for _, tok := range strings.Split(os.Getenv(LogEnv), ",") {
 		switch strings.ToLower(strings.TrimSpace(tok)) {

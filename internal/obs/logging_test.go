@@ -10,7 +10,7 @@ import (
 func TestNewLoggerLevels(t *testing.T) {
 	t.Setenv(LogEnv, "")
 	var b strings.Builder
-	l := NewLogger(&b, false)
+	l := NewLogger(&b)
 	l.Debug("hidden")
 	l.Info("shown", "k", "v")
 	out := b.String()
@@ -20,18 +20,12 @@ func TestNewLoggerLevels(t *testing.T) {
 	if !strings.Contains(out, "shown") || !strings.Contains(out, "k=v") {
 		t.Errorf("info record missing: %q", out)
 	}
-
-	b.Reset()
-	NewLogger(&b, true).Debug("verbose-on")
-	if !strings.Contains(b.String(), "verbose-on") {
-		t.Error("verbose flag did not enable debug")
-	}
 }
 
 func TestNewLoggerEnv(t *testing.T) {
 	t.Setenv(LogEnv, "json,debug")
 	var b strings.Builder
-	l := NewLogger(&b, false)
+	l := NewLogger(&b)
 	l.Debug("dbg", "n", 1)
 	out := b.String()
 	if !strings.Contains(out, `"msg":"dbg"`) {
@@ -39,10 +33,10 @@ func TestNewLoggerEnv(t *testing.T) {
 	}
 
 	t.Setenv(LogEnv, "error")
-	if !NewLogger(nil, false).Enabled(context.Background(), slog.LevelError) {
+	if !NewLogger(nil).Enabled(context.Background(), slog.LevelError) {
 		t.Error("error level not enabled")
 	}
-	if NewLogger(nil, true).Enabled(context.Background(), slog.LevelInfo) {
-		t.Error("HP_LOG=error should override -v")
+	if NewLogger(nil).Enabled(context.Background(), slog.LevelInfo) {
+		t.Error("HP_LOG=error should disable info")
 	}
 }

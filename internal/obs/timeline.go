@@ -58,8 +58,8 @@ type Event struct {
 
 // Timeline is an Observer that records every event in order, for live
 // export: Schedule reconstructs the sim.Schedule observed so far, which
-// internal/trace.ChromeLive turns into the same Perfetto JSON as post-hoc
-// schedules. Safe for concurrent use, though events of concurrent runs
+// internal/trace.Chrome turns into the same Perfetto JSON as the
+// finished schedule. Safe for concurrent use, though events of concurrent runs
 // interleave and should be captured on separate timelines.
 type Timeline struct {
 	mu     sync.Mutex
@@ -115,7 +115,7 @@ func (tl *Timeline) Events() []Event {
 
 // Schedule reconstructs the schedule observed so far from the start,
 // spoliation and completion events: the bridge from live capture to the
-// post-hoc exporters (trace.ChromeLive, trace.SVG, sim metrics). Runs
+// post-hoc exporters (trace.Chrome, trace.SVG, sim metrics). Runs
 // still open when the timeline is snapshotted are closed at their last
 // observed instant and marked aborted.
 func (tl *Timeline) Schedule(pl platform.Platform) *sim.Schedule {

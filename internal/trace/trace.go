@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -89,15 +88,6 @@ func Chrome(s *sim.Schedule, names map[int]string) ([]byte, error) {
 		}
 	}
 	return json.MarshalIndent(out, "", " ")
-}
-
-// ChromeLive exports a live-captured obs.Timeline as Chrome trace-event
-// JSON: the bridge from the observer event stream to the same Perfetto
-// format as post-hoc schedules. The timeline may still be open — runs
-// without a completion event yet are rendered as aborted at their last
-// observed instant.
-func ChromeLive(tl *obs.Timeline, pl platform.Platform, names map[int]string) ([]byte, error) {
-	return Chrome(tl.Schedule(pl), names)
 }
 
 // SVG renders the schedule as a standalone SVG Gantt chart of the given
