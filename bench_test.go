@@ -249,6 +249,23 @@ func BenchmarkHeteroPrioIndependent(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildFactorizations builds the Cholesky, QR and LU graphs at
+// N=16, the three graphs perfbench's dag-wide times as setup_s and the
+// sizes hpserve builds on every /schedule request. Its allocs/op holds
+// the benchgate to names formatted without fmt and to adjacency rows
+// carved from blocks: one allocation more per task or per edge moves it
+// past the 10% band.
+func BenchmarkBuildFactorizations(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, f := range workloads.Factorizations() {
+			if _, err := workloads.Build(f, 16); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkScheduleDAGCholesky measures one full DAG schedule of the
 // 816-task Cholesky graph with min priorities — the paper's headline
 // workload and the benchgate's DAG-path regression probe.

@@ -28,9 +28,9 @@ import (
 // paths, the area bound, HLP's allocation walk and its lp.Solve fallback,
 // the DAG path on a narrow and a wide platform, the zoo's DAG policies and
 // HeteroPrio's online arrivals on the shared event loop, schedule
-// validation, the pool scaling bench, and the observability hot paths
-// (HDR record and span start/end).
-const gatedBenchmarks = "^(BenchmarkScheduleIndependent|BenchmarkScheduleIndependentZoo|BenchmarkScheduleIndependentScaling|BenchmarkAreaBound|BenchmarkHLPIndependent|BenchmarkHLPIndependentFallback|BenchmarkScheduleDAGCholesky|BenchmarkScheduleDAGWide|BenchmarkScheduleDAGZoo|BenchmarkScheduleOnline|BenchmarkScheduleValidate|BenchmarkHDRRecord|BenchmarkSpanStartEnd)$"
+// validation, the pool scaling bench, building the factorization graphs,
+// and the observability hot paths (HDR record and span start/end).
+const gatedBenchmarks = "^(BenchmarkBuildFactorizations|BenchmarkScheduleIndependent|BenchmarkScheduleIndependentZoo|BenchmarkScheduleIndependentScaling|BenchmarkAreaBound|BenchmarkHLPIndependent|BenchmarkHLPIndependentFallback|BenchmarkScheduleDAGCholesky|BenchmarkScheduleDAGWide|BenchmarkScheduleDAGZoo|BenchmarkScheduleOnline|BenchmarkScheduleValidate|BenchmarkHDRRecord|BenchmarkSpanStartEnd)$"
 
 func main() {
 	var (

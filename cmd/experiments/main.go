@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	experiments                 # everything, paper-sized sweep (minutes)
-//	experiments -exp fig6       # one experiment
-//	experiments -quick          # reduced sweep (seconds)
+//	experiments                      # everything, paper-sized sweep (minutes)
+//	experiments -exp fig6            # one experiment
+//	experiments -quick -out /tmp/hp  # reduced sweep (seconds); -quick refuses -out results
 package main
 
 import (
@@ -32,7 +32,7 @@ var logger = obs.NewLogger(nil)
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment: all, table1, table2, fig6, fig7, fig8, fig9, ablation, shape, bounds, kernelmix, distribution, adversary, transfer, robustness, tournament")
-		out     = flag.String("out", "results", "output directory for CSV files")
+		out     = flag.String("out", defaultOut, "output directory for CSV files")
 		quick   = flag.Bool("quick", false, "reduced N sweep (fast)")
 		workers = flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS); results are identical for any value")
 	)
@@ -47,7 +47,14 @@ func main() {
 	}
 }
 
+// defaultOut is -out's default: the checked-in reproduction outputs,
+// which only the full sweep reproduces.
+const defaultOut = "results"
+
 func run(exp, out string, quick bool, workers int) error {
+	if quick && filepath.Clean(out) == defaultOut {
+		return fmt.Errorf("-quick would overwrite the checked-in %s/ with reduced-sweep values; pass -out with another directory", defaultOut)
+	}
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}

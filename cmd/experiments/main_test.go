@@ -33,6 +33,33 @@ func TestRunQuickFigures(t *testing.T) {
 	}
 }
 
+// TestRunQuickRefusesDefaultOut: a -quick run into the default -out
+// would overwrite the checked-in reproduction with reduced-sweep values,
+// so it fails before it writes anything.
+func TestRunQuickRefusesDefaultOut(t *testing.T) {
+	dir := t.TempDir()
+	csv := filepath.Join(dir, "results", "fig6.csv")
+	if err := os.MkdirAll(filepath.Dir(csv), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const checkedIn = "checked-in fig6\n"
+	if err := os.WriteFile(csv, []byte(checkedIn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir)
+	err := run("fig6", "results", true, 1)
+	if err == nil || !strings.Contains(err.Error(), "-out") {
+		t.Fatalf("run(-quick, -out results) = %v, want an error naming -out", err)
+	}
+	raw, err := os.ReadFile(csv)
+	if err != nil || string(raw) != checkedIn {
+		t.Errorf("results/fig6.csv = %q, %v; want it untouched", raw, err)
+	}
+	if entries, err := os.ReadDir(filepath.Dir(csv)); err != nil || len(entries) != 1 {
+		t.Errorf("results/ holds %d entries (%v); want only fig6.csv", len(entries), err)
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run("nope", t.TempDir(), true, 1); err == nil {
 		t.Error("unknown experiment accepted")

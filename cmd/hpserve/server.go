@@ -544,9 +544,11 @@ func validateServeForm(form scheduleForm) (platform.Platform, error) {
 // key survives cosmetic request differences and changes meaning the
 // moment a generator produces different durations; the workload name and
 // size ride along as parameters because they determine task identities
-// (names, IDs) in the rendered output. Generation is cheap next to
-// simulation, so the extra build on a miss (executeRun rebuilds its own
-// graph) costs noise.
+// (names, IDs) in the rendered output. Every request pays this build, a
+// cache hit included, and a miss pays a second one in executeRun. The
+// build is not noise: at the largest size served, LU N=24 (4,900 tasks),
+// it takes ≈1.9 ms against ≈3.2 ms for HeteroPrio-min's call on 20+4
+// (2-vCPU host; EXPERIMENTS.md "Building a DAG").
 func requestKeyFor(form scheduleForm, algLabel string) (serve.Key, error) {
 	pl, err := validateServeForm(form)
 	if err != nil {

@@ -22,7 +22,19 @@ type Graph struct {
 	succ  [][]int
 	pred  [][]int
 	edges int
+	// AddEdge carves the adjacency rows out of blocks: spare is the unused
+	// tail of the newest one, blocks the length of all of them together.
+	// A graph without edges has no block.
+	spare  []int
+	blocks int
 }
+
+// minRowCap is the capacity of an adjacency row's first slot, and
+// minBlock the length of a graph's first block.
+const (
+	minRowCap = 2
+	minBlock  = 64
+)
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
@@ -53,9 +65,31 @@ func (g *Graph) AddEdge(u, v int) {
 			return
 		}
 	}
-	g.succ[u] = append(g.succ[u], v)
-	g.pred[v] = append(g.pred[v], u)
+	g.succ[u] = g.push(g.succ[u], v)
+	g.pred[v] = g.push(g.pred[v], u)
 	g.edges++
+}
+
+// push appends x to an adjacency row. A full row moves to a slot of
+// twice its capacity carved from the spare block, and its old slot stays
+// unused. Each slot is capped at its own length, so no row grows into
+// another. A new block is as long as all earlier ones together, so a
+// graph allocates O(log e) blocks for e edges; rows carved from an earlier
+// block stay where they are.
+func (g *Graph) push(row []int, x int) []int {
+	if len(row) == cap(row) {
+		c := max(2*cap(row), minRowCap)
+		if len(g.spare) < c {
+			n := max(c, minBlock, g.blocks)
+			g.blocks += n
+			g.spare = make([]int, n)
+		}
+		next := g.spare[:len(row):c]
+		g.spare = g.spare[c:]
+		copy(next, row)
+		row = next
+	}
+	return append(row, x)
 }
 
 // Len returns the number of tasks in the graph.
@@ -332,7 +366,11 @@ func (g *Graph) DOT(name string) string {
 // FromInstance builds a dependency-free graph over the given tasks,
 // preserving their order. Task IDs are reassigned sequentially.
 func FromInstance(in platform.Instance) *Graph {
-	g := New()
+	g := &Graph{
+		tasks: make(platform.Instance, 0, len(in)),
+		succ:  make([][]int, 0, len(in)),
+		pred:  make([][]int, 0, len(in)),
+	}
 	for _, t := range in {
 		g.AddTask(t)
 	}

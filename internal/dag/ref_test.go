@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -122,6 +123,134 @@ func (h *intHeap) pop() int {
 		i = small
 	}
 	return top
+}
+
+// refGraph is Graph's adjacency as it was before AddEdge carved its rows
+// out of blocks: a [][]int row per task grown by append, with a linear
+// scan for parallel edges and the same panics.
+type refGraph struct {
+	succ, pred [][]int
+	edges      int
+}
+
+func (r *refGraph) addTask() {
+	r.succ = append(r.succ, nil)
+	r.pred = append(r.pred, nil)
+}
+
+func (r *refGraph) addEdge(u, v int) {
+	n := len(r.succ)
+	if u < 0 || u >= n || v < 0 || v >= n {
+		panic(fmt.Sprintf("dag: edge (%d,%d) out of range [0,%d)", u, v, n))
+	}
+	if u == v {
+		panic(fmt.Sprintf("dag: self-loop on task %d", u))
+	}
+	for _, w := range r.succ[u] {
+		if w == v {
+			return
+		}
+	}
+	r.succ[u] = append(r.succ[u], v)
+	r.pred[v] = append(r.pred[v], u)
+	r.edges++
+}
+
+// topoOrder is TopoOrder's FIFO Kahn pass over the reference rows, so
+// the two orders agree only if the rows hold the same edges in the same
+// insertion order.
+func (r *refGraph) topoOrder() ([]int, error) {
+	n := len(r.succ)
+	indeg := make([]int, n)
+	var order []int
+	for id, ps := range r.pred {
+		indeg[id] = len(ps)
+		if len(ps) == 0 {
+			order = append(order, id)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, s := range r.succ[order[head]] {
+			indeg[s]--
+			if indeg[s] == 0 {
+				order = append(order, s)
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, fmt.Errorf("dag: graph contains a cycle (%d of %d tasks ordered)", len(order), n)
+	}
+	return order, nil
+}
+
+// recovered runs f and returns what it panicked with, or nil.
+func recovered(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
+}
+
+// maxAdjacencySteps cuts fuzz inputs: every step compares every row.
+const maxAdjacencySteps = 600
+
+// FuzzAdjacencyMatchesReference drives a Graph and a refGraph through
+// the same AddTask/AddEdge sequence and compares Len, Edges, Succs, Preds,
+// InDegree and TopoOrder after every step. The input is read three bytes
+// a step: an operation byte, whose low two bits 0 add a task and
+// otherwise an edge, and the edge's ends, each a byte mod n+2 minus one,
+// so ends of -1 and n (out of range) and self-loops occur and must panic
+// alike in both. Few tasks make parallel edges common. Every row read at
+// one step must still hold the same IDs at the next: a row carved over
+// another's slot would show as a changed read.
+func FuzzAdjacencyMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 2, 1, 1, 2, 1, 2, 1, 1, 1, 1, 1, 0, 1, 1, 4, 0})
+	for seed := int64(0); seed < 4; seed++ {
+		ops := make([]byte, 3*maxAdjacencySteps)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		g, ref := dag.New(), &refGraph{}
+		var held, heldCopy [][]int
+		for step := 0; step < maxAdjacencySteps && 3*step+2 < len(ops); step++ {
+			op, a, b := ops[3*step], ops[3*step+1], ops[3*step+2]
+			if op&3 == 0 {
+				g.AddTask(platform.Task{CPUTime: 1, GPUTime: 1})
+				ref.addTask()
+			} else {
+				n := len(ref.succ)
+				u, v := int(a)%(n+2)-1, int(b)%(n+2)-1
+				got := recovered(func() { g.AddEdge(u, v) })
+				want := recovered(func() { ref.addEdge(u, v) })
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("step %d: AddEdge(%d, %d) panicked with %v, reference with %v", step, u, v, got, want)
+				}
+			}
+			for i, row := range held {
+				if !slices.Equal(row, heldCopy[i]) {
+					t.Fatalf("step %d: row %d read at the step before changed from %v to %v", step, i, heldCopy[i], row)
+				}
+			}
+			held, heldCopy = held[:0], heldCopy[:0]
+			if g.Len() != len(ref.succ) || g.Edges() != ref.edges {
+				t.Fatalf("step %d: Len, Edges = %d, %d; reference %d, %d", step, g.Len(), g.Edges(), len(ref.succ), ref.edges)
+			}
+			for id := 0; id < g.Len(); id++ {
+				succ, pred := g.Succs(id), g.Preds(id)
+				if !slices.Equal(succ, ref.succ[id]) || !slices.Equal(pred, ref.pred[id]) || g.InDegree(id) != len(ref.pred[id]) {
+					t.Fatalf("step %d: task %d has Succs %v, Preds %v, InDegree %d; reference %v, %v, %d",
+						step, id, succ, pred, g.InDegree(id), ref.succ[id], ref.pred[id], len(ref.pred[id]))
+				}
+				held = append(held, succ, pred)
+				heldCopy = append(heldCopy, slices.Clone(succ), slices.Clone(pred))
+			}
+			order, err := g.TopoOrder()
+			wantOrder, wantErr := ref.topoOrder()
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(order, wantOrder) {
+				t.Fatalf("step %d: TopoOrder = %v, %v; reference %v, %v", step, order, err, wantOrder, wantErr)
+			}
+		}
+	})
 }
 
 type namedGraph struct {

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
@@ -177,8 +178,26 @@ func LU(N int) *dag.Graph {
 // addKernelTask adds a kernel instance named like "GEMM(3,2,1)".
 func addKernelTask(g *dag.Graph, k Kernel, op string, i, j, it int) int {
 	t := k.Task()
-	t.Name = fmt.Sprintf("%s(%d,%d,%d)", op, i, j, it)
+	t.Name = tileName(op, i, j, it)
 	return g.AddTask(t)
+}
+
+// tileName returns op followed by xs in parentheses, comma-separated:
+// tileName("GEMM", 3, 2, 1) is "GEMM(3,2,1)", the bytes
+// fmt.Sprintf("%s(%d,%d,%d)", ...) gives. It formats into a stack
+// buffer, so the string is its only allocation.
+func tileName(op string, xs ...int) string {
+	var buf [32]byte
+	b := append(buf[:0], op...)
+	for i, x := range xs {
+		if i == 0 {
+			b = append(b, '(')
+		} else {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return string(append(b, ')'))
 }
 
 // Factorization names a workload family used across the experiments.

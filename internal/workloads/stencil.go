@@ -1,7 +1,7 @@
 package workloads
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
@@ -23,7 +23,7 @@ func Wavefront(n int, border, interior platform.Task) *dag.Graph {
 			if i == 0 || j == 0 {
 				t = border
 			}
-			t.Name = fmt.Sprintf("cell(%d,%d)", i, j)
+			t.Name = tileName("cell", i, j)
 			ids[i][j] = g.AddTask(t)
 			if i > 0 {
 				g.AddEdge(ids[i-1][j], ids[i][j])
@@ -58,7 +58,7 @@ func BagOfChains(c, l int, even, odd platform.Task) *dag.Graph {
 			if j%2 == 1 {
 				t = odd
 			}
-			t.Name = fmt.Sprintf("chain%d[%d]", i, j)
+			t.Name = chainName(i, j)
 			id := g.AddTask(t)
 			if prev >= 0 {
 				g.AddEdge(prev, id)
@@ -67,4 +67,15 @@ func BagOfChains(c, l int, even, odd platform.Task) *dag.Graph {
 		}
 	}
 	return g
+}
+
+// chainName returns "chain3[7]" for task 7 of chain 3, the bytes
+// fmt.Sprintf("chain%d[%d]", 3, 7) gives, with the string as its only
+// allocation.
+func chainName(i, j int) string {
+	var buf [32]byte
+	b := strconv.AppendInt(append(buf[:0], "chain"...), int64(i), 10)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(j), 10)
+	return string(append(b, ']'))
 }
