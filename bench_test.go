@@ -53,7 +53,7 @@ func BenchmarkTable2WorstCases(b *testing.B) {
 func BenchmarkFig6Independent(b *testing.B) {
 	pl := expr.PaperPlatform()
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Fig6(expr.SmallNs(), pl); err != nil {
+		if _, err := expr.Fig6Pool(context.Background(), engine.Default(), expr.SmallNs(), pl); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +62,7 @@ func BenchmarkFig6Independent(b *testing.B) {
 // fig7Rows caches one reduced Figure 7/8/9 run for the three view benches.
 func fig7Rows(b *testing.B) []expr.Fig7Row {
 	b.Helper()
-	rows, err := expr.Fig7(expr.SmallNs(), expr.PaperPlatform())
+	rows, err := expr.Fig7Pool(context.Background(), engine.Default(), expr.SmallNs(), expr.PaperPlatform())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func BenchmarkFig9IdleTime(b *testing.B) {
 func BenchmarkAblationSpoliation(b *testing.B) {
 	pl := expr.PaperPlatform()
 	for i := 0; i < b.N; i++ {
-		if _, err := expr.Ablation([]int{4, 8}, pl); err != nil {
+		if _, err := expr.AblationPool(context.Background(), engine.Default(), []int{4, 8}, pl); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,9 +26,6 @@
 //	-json             emit one JSON object per finding, one per line
 //	                  (findings with a call chain carry it in the "chain"
 //	                  field)
-//	-calibrate dir    diff allocflow's escape verdicts against the
-//	                  compiler's (go build -gcflags=-m) over the corpus in
-//	                  dir; exit non-zero below 95% agreement
 //
 // A finding can be suppressed at the offending line (or the line above)
 // with a justified escape comment:
@@ -65,25 +62,11 @@ type finding struct {
 func main() {
 	catalog := flag.Bool("catalog", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as one JSON object per line")
-	calibrate := flag.String("calibrate", "", "calibrate allocflow against go build -gcflags=-m over the corpus `dir`")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: hplint [-catalog] [-calibrate dir] [-json] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: hplint [-catalog] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *calibrate != "" {
-		rep, err := analysis.CalibrateDir(*calibrate)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Format(os.Stdout)
-		if rep.Agreement() < 0.95 {
-			fmt.Fprintf(os.Stderr, "hplint: calibration agreement %.1f%% below the 95%% floor\n", 100*rep.Agreement())
-			os.Exit(1)
-		}
-		return
-	}
 
 	suite := analysis.All()
 	if *catalog {

@@ -411,6 +411,11 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, err, s.errStatus(err))
 		return
 	}
+	g, pl, err := buildRun(form)
+	if err != nil {
+		jsonError(w, err, s.errStatus(err))
+		return
+	}
 	// Traces are never cached, but they still count against the
 	// admission valve like any other simulation.
 	release, err := s.admit.Acquire(ctx)
@@ -419,7 +424,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	sched, g, _, err := s.executeRun(ctx, form)
+	sched, _, err := s.executeRun(ctx, form, g, pl)
 	if err != nil {
 		jsonError(w, err, s.errStatus(err))
 		return
@@ -494,7 +499,8 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // internalError marks failures that are the server's fault (HTTP 500);
-// everything else reported by executeRun is a client input error (400).
+// everything else reported by buildRun or executeRun is a client input
+// error (400).
 type internalError struct{ err error }
 
 func (e internalError) Error() string { return e.err.Error() }
@@ -538,75 +544,66 @@ func validateServeForm(form scheduleForm) (platform.Platform, error) {
 	return pl, nil
 }
 
-// requestKeyFor validates the form, generates its workload, and returns
-// the canonical cache key of the request under the given algorithm label.
-// The instance content — not the form text — is what gets hashed, so the
-// key survives cosmetic request differences and changes meaning the
-// moment a generator produces different durations; the workload name and
-// size ride along as parameters because they determine task identities
-// (names, IDs) in the rendered output. Every request pays this build, a
-// cache hit included, and a miss pays a second one in executeRun. The
-// build is not noise: at the largest size served, LU N=24 (4,900 tasks),
-// it takes ≈1.9 ms against ≈3.2 ms for HeteroPrio-min's call on 20+4
-// (2-vCPU host; EXPERIMENTS.md "Building a DAG").
-func requestKeyFor(form scheduleForm, algLabel string) (serve.Key, error) {
+// buildRun validates the form and generates its workload: the graph and
+// platform a run of the request schedules.
+func buildRun(form scheduleForm) (*dag.Graph, platform.Platform, error) {
 	pl, err := validateServeForm(form)
 	if err != nil {
-		return serve.Key{}, err
+		return nil, pl, err
 	}
 	g, err := buildServeWorkload(form.Workload, form.N)
-	if err != nil {
-		return serve.Key{}, err
-	}
-	key := serve.KeyOf(g.Tasks(), pl, algLabel, serveSeed,
-		"workload="+form.Workload, "n="+strconv.Itoa(form.N))
-	return key, nil
+	return g, pl, err
 }
 
-// executeRun validates the form, builds the workload, runs the algorithm
+// requestKeyFor returns the canonical cache key of a request for graph g
+// on pl under the given algorithm label. The instance content — not the
+// form text — is what gets hashed, so the key survives cosmetic request
+// differences and changes meaning the moment a generator produces
+// different durations; the workload name and size ride along as
+// parameters because they determine task identities (names, IDs) in the
+// rendered output. Every request pays one build, a cache hit included,
+// and a /schedule miss runs on that graph. The build is not noise: at
+// the largest size served, LU N=24 (4,900 tasks), it takes ≈1.9 ms
+// against ≈3.2 ms for HeteroPrio-min's call on 20+4 (2-vCPU host;
+// EXPERIMENTS.md "Building a DAG").
+func requestKeyFor(form scheduleForm, g *dag.Graph, pl platform.Platform, algLabel string) serve.Key {
+	return serve.KeyOf(g.Tasks(), pl, algLabel, serveSeed,
+		"workload="+form.Workload, "n="+strconv.Itoa(form.N))
+}
+
+// executeRun runs the algorithm on the request's graph g and platform pl
 // with the server's live metrics observer, records the run summary and
-// returns the schedule. The context carries the request deadline: a
-// request that expired while queued or coalesced never reaches the
-// simulator.
-func (s *server) executeRun(ctx context.Context, form scheduleForm) (*sim.Schedule, *dag.Graph, obs.RunSummary, error) {
+// returns the schedule. The run writes priorities into g. The context
+// carries the request deadline: a request that expired while queued or
+// coalesced never reaches the simulator.
+func (s *server) executeRun(ctx context.Context, form scheduleForm, g *dag.Graph, pl platform.Platform) (*sim.Schedule, obs.RunSummary, error) {
 	var zero obs.RunSummary
 	if err := ctx.Err(); err != nil {
-		return nil, nil, zero, err
+		return nil, zero, err
 	}
-	pl, err := validateServeForm(form)
-	if err != nil {
-		return nil, nil, zero, err
-	}
-	g, err := buildServeWorkload(form.Workload, form.N)
-	if err != nil {
-		return nil, nil, zero, err
-	}
-	var o obs.Observer = s.sched
-	// The compute span covers simulation + validation + bound + summary,
-	// bridged to the scheduler's observer stream: its annotations carry
-	// the simulated task/spoliation/makespan quantities of this very run.
+	// The compute span covers simulation + validation + bound + summary;
+	// its annotations carry the simulated task/spoliation/makespan
+	// quantities of this very run, read from the run summary.
+	var csp *obs.Span
 	if sp := obs.SpanFromContext(ctx); sp != nil {
-		csp := sp.StartChild("compute")
+		csp = sp.StartChild("compute")
+	}
+	if csp != nil {
 		csp.Annotate("alg", form.Alg)
 		csp.Annotate("workload", form.Workload)
-		so := obs.NewSpanObserver(csp)
-		o = obs.Multi(o, so)
-		defer func() {
-			so.Finish()
-			csp.End()
-		}()
+		defer csp.End()
 	}
 	start := time.Now()
-	sched, err := expr.RunDAGObserved(form.Alg, g, pl, o)
+	sched, err := expr.RunDAGObserved(form.Alg, g, pl, s.sched)
 	if err != nil {
-		return nil, nil, zero, err
+		return nil, zero, err
 	}
 	if err := sched.Validate(g.Tasks(), g); err != nil {
-		return nil, nil, zero, internalError{fmt.Errorf("schedule validation failed: %w", err)}
+		return nil, zero, internalError{fmt.Errorf("schedule validation failed: %w", err)}
 	}
 	lower, err := bounds.DAGLowerRefined(g, pl)
 	if err != nil {
-		return nil, nil, zero, internalError{err}
+		return nil, zero, internalError{err}
 	}
 	sum := obs.Summarize(sched, g.Tasks(), lower)
 	sum.ID = fmt.Sprintf("run-%06d", s.runSeq.Add(1))
@@ -616,7 +613,14 @@ func (s *server) executeRun(ctx context.Context, form scheduleForm) (*sim.Schedu
 	sum.N = form.N
 	sum.Elapsed = float64(time.Since(start).Microseconds()) / 1000
 	s.recordRun(sum)
-	return sched, g, sum, nil
+	if csp != nil {
+		csp.AnnotateInt("sim_tasks_queued", int64(sum.Tasks))
+		csp.AnnotateInt("sim_tasks_completed", int64(sum.Tasks))
+		csp.AnnotateInt("sim_spoliations", int64(sum.Spoliations))
+		csp.AnnotateInt("sim_wasted_ms", int64(sum.WastedWork+0.5))
+		csp.AnnotateInt("sim_makespan_ms", int64(sum.Makespan+0.5))
+	}
+	return sched, sum, nil
 }
 
 // recordRun feeds the run-level metrics, the /runs ring and the run log.
@@ -640,10 +644,11 @@ func (s *server) recordRun(sum obs.RunSummary) {
 // a single pool cell. Cache hits touch neither the admission valve nor
 // the pool, so a repeated request is pure memory traffic.
 func (s *server) runSchedule(ctx context.Context, form scheduleForm) (*scheduleResult, error) {
-	key, err := requestKeyFor(form, "schedule:"+form.Alg)
+	g, pl, err := buildRun(form)
 	if err != nil {
 		return nil, err
 	}
+	key := requestKeyFor(form, g, pl, "schedule:"+form.Alg)
 	res, _, err := s.schedCache.DoCtx(ctx, key, func(ctx context.Context) (*scheduleResult, error) {
 		release, err := s.admit.Acquire(ctx)
 		if err != nil {
@@ -651,7 +656,7 @@ func (s *server) runSchedule(ctx context.Context, form scheduleForm) (*scheduleR
 		}
 		defer release()
 		return engine.One(ctx, s.pool, func(ctx context.Context) (*scheduleResult, error) {
-			sched, _, sum, err := s.executeRun(ctx, form)
+			sched, sum, err := s.executeRun(ctx, form, g, pl)
 			if err != nil {
 				return nil, err
 			}
@@ -667,16 +672,18 @@ func (s *server) runSchedule(ctx context.Context, form scheduleForm) (*scheduleR
 // an algorithm invalidates old rows. MaxParallel caps one request at
 // half the pool, so a single /compare cannot starve concurrent requests;
 // Map's ordered reduction keeps the table rows in DAGAlgorithms order
-// regardless of completion order.
+// regardless of completion order. Each cell builds its own graph, since
+// a run writes priorities into the graph it schedules.
 func (s *server) runCompare(ctx context.Context, form scheduleForm) ([]obs.RunSummary, error) {
 	if form.N < 1 || form.N > 16 {
 		return nil, fmt.Errorf("compare limits n to [1, 16], got %d", form.N)
 	}
 	algs := expr.DAGAlgorithms()
-	key, err := requestKeyFor(form, "compare:"+strings.Join(algs, ","))
+	g, pl, err := buildRun(form)
 	if err != nil {
 		return nil, err
 	}
+	key := requestKeyFor(form, g, pl, "compare:"+strings.Join(algs, ","))
 	rows, _, err := s.compareCache.DoCtx(ctx, key, func(ctx context.Context) ([]obs.RunSummary, error) {
 		release, err := s.admit.Acquire(ctx)
 		if err != nil {
@@ -692,7 +699,11 @@ func (s *server) runCompare(ctx context.Context, form scheduleForm) ([]obs.RunSu
 			func(ctx context.Context, c engine.Cell) (obs.RunSummary, error) {
 				f := form
 				f.Alg = algs[c.Index]
-				_, _, sum, err := s.executeRun(ctx, f)
+				g, err := buildServeWorkload(f.Workload, f.N)
+				if err != nil {
+					return obs.RunSummary{}, err
+				}
+				_, sum, err := s.executeRun(ctx, f, g, pl)
 				return sum, err
 			})
 	})

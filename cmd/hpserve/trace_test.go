@@ -111,6 +111,31 @@ func TestRequestTraceTree(t *testing.T) {
 			t.Errorf("compute span missing annotation %q (have %v)", key, computeAnn)
 		}
 	}
+
+	// A /compare request runs algorithms that emit no observer events;
+	// their compute spans carry the same quantities all the same.
+	rec = doGet(t, srv, "/compare?"+scheduleQuery("HeteroPrio-min"))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("compare status %d", rec.Code)
+	}
+	tr = doGet(t, srv, "/trace/"+rec.Header().Get("X-Trace-Id"))
+	var cmpTree obs.TraceTree
+	if err := json.Unmarshal(tr.Body.Bytes(), &cmpTree); err != nil {
+		t.Fatalf("invalid compare trace tree JSON: %v", err)
+	}
+	var dualAnn map[string]any
+	cmpTree.Walk(func(n *obs.SpanNode) {
+		if n.Name == "compute" && n.Annotations["alg"] == "DualHP-min" {
+			dualAnn = n.Annotations
+		}
+	})
+	g, err := buildServeWorkload("cholesky", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dualAnn["sim_tasks_completed"]; got != float64(g.Len()) {
+		t.Errorf("DualHP-min compute span: sim_tasks_completed = %v, want the graph's %d tasks (all: %v)", got, g.Len(), dualAnn)
+	}
 }
 
 // TestTraceTreeCacheOutcomes checks the cache span's outcome annotation

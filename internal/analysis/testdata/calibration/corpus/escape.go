@@ -1,8 +1,8 @@
 // Package corpus is the calibration ground-truth corpus: small, isolated
-// functions whose escape behavior is unambiguous. hplint's calibration
-// mode (hplint -calibrate) diffs the allocflow analyzer's AllocEscape
-// verdicts against `go build -gcflags=-m` over this package; the
-// calibration test requires >=95% agreement. Functions deliberately do
+// functions whose escape behavior is unambiguous. The calibration test
+// (analysis.TestCalibrationAgreement) diffs the allocflow analyzer's
+// AllocEscape verdicts against `go build -gcflags=-m` over this package
+// and requires >=95% agreement. Functions deliberately do
 // not call each other, so inlining cannot move escape messages between
 // lines.
 package corpus

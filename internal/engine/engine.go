@@ -161,8 +161,7 @@ var defaultPool struct {
 }
 
 // Default returns the process-wide shared pool, sized GOMAXPROCS and
-// created on first use. The convenience wrappers in internal/expr run on
-// it, so library callers get parallel sweeps without plumbing a pool.
+// created on first use, for callers that do not size a pool of their own.
 func Default() *Pool {
 	defaultPool.once.Do(func() { defaultPool.p = NewPool(0, nil) })
 	return defaultPool.p

@@ -28,15 +28,10 @@ type AblationRow struct {
 	Spoliations int
 }
 
-// Ablation quantifies the contribution of spoliation and priorities to
-// HeteroPrio's DAG performance (the design choices DESIGN.md calls out).
-func Ablation(Ns []int, pl platform.Platform) ([]AblationRow, error) {
-	return AblationPool(context.Background(), engine.Default(), Ns, pl)
-}
-
-// AblationPool is Ablation fanned out on p: one cell per (kernel, tile
-// count) pair, running the three scheduler variants back to back on its
-// own graph.
+// AblationPool quantifies the contribution of spoliation and priorities
+// to HeteroPrio's DAG performance (the design choices DESIGN.md calls
+// out). It fans out on p: one cell per (kernel, tile count) pair, running
+// the three scheduler variants back to back on its own graph.
 func AblationPool(ctx context.Context, p *engine.Pool, Ns []int, pl platform.Platform) ([]AblationRow, error) {
 	cells := factorizationCells(Ns)
 	return engine.Map(ctx, p, engine.Job{Cells: len(cells)}, func(_ context.Context, c engine.Cell) (AblationRow, error) {

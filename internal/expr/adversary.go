@@ -22,18 +22,13 @@ type AdversaryRow struct {
 	Evals      int
 }
 
-// Adversary runs the automated worst-case search on the three platform
-// shapes of Table 2 (kept tiny so the exact solver stays fast). It is the
-// empirical companion of the Section 5 constructions: the search
-// rediscovers golden-ratio-like instances on (1,1) without being told
-// about phi.
-func Adversary(iters int, seed int64) ([]AdversaryRow, error) {
-	return AdversaryPool(context.Background(), engine.Default(), iters, seed)
-}
-
-// AdversaryPool is Adversary fanned out on p: one cell per platform
-// shape. Each hill climb is already seeded per shape, so parallel cells
-// rediscover exactly the sequential run's instances.
+// AdversaryPool runs the automated worst-case search on the three
+// platform shapes of Table 2 (kept tiny so the exact solver stays fast).
+// It is the empirical companion of the Section 5 constructions: the
+// search rediscovers golden-ratio-like instances on (1,1) without being
+// told about phi. It fans out on p: one cell per platform shape. Each
+// hill climb is seeded per shape, so parallel cells rediscover exactly
+// the sequential run's instances.
 func AdversaryPool(ctx context.Context, p *engine.Pool, iters int, seed int64) ([]AdversaryRow, error) {
 	shapes := []struct{ m, n int }{{1, 1}, {3, 1}, {2, 2}}
 	return engine.Map(ctx, p, engine.Job{Cells: len(shapes)}, func(_ context.Context, c engine.Cell) (AdversaryRow, error) {

@@ -1,12 +1,15 @@
 package expr
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestAdversaryExperiment(t *testing.T) {
-	rows, err := Adversary(600, 11)
+	rows, err := AdversaryPool(context.Background(), engine.Default(), 600, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,15 +24,10 @@ type BoundsCmpRow struct {
 	Area, CP, Base, Refined, HP float64
 }
 
-// BoundsCmp computes the rows for every factorization at the given tile
-// counts.
-func BoundsCmp(Ns []int, pl platform.Platform) ([]BoundsCmpRow, error) {
-	return BoundsCmpPool(context.Background(), engine.Default(), Ns, pl)
-}
-
-// BoundsCmpPool is BoundsCmp fanned out on p: one cell per (kernel, tile
-// count) pair. The refined sweep is the most expensive bound and gains
-// the most from the fan-out.
+// BoundsCmpPool computes the rows for every factorization at the given
+// tile counts. It fans out on p: one cell per (kernel, tile count) pair.
+// The refined sweep is the most expensive bound and gains the most from
+// the fan-out.
 func BoundsCmpPool(ctx context.Context, p *engine.Pool, Ns []int, pl platform.Platform) ([]BoundsCmpRow, error) {
 	cells := factorizationCells(Ns)
 	return engine.Map(ctx, p, engine.Job{Cells: len(cells)}, func(_ context.Context, c engine.Cell) (BoundsCmpRow, error) {

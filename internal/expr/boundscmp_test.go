@@ -1,12 +1,15 @@
 package expr
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestBoundsCmp(t *testing.T) {
-	rows, err := BoundsCmp([]int{4, 8}, PaperPlatform())
+	rows, err := BoundsCmpPool(context.Background(), engine.Default(), []int{4, 8}, PaperPlatform())
 	if err != nil {
 		t.Fatal(err)
 	}

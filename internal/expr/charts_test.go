@@ -1,13 +1,16 @@
 package expr
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestFigCharts(t *testing.T) {
 	pl := PaperPlatform()
-	rows6, err := Fig6([]int{4, 8}, pl)
+	rows6, err := Fig6Pool(context.Background(), engine.Default(), []int{4, 8}, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +25,7 @@ func TestFigCharts(t *testing.T) {
 		}
 	}
 
-	rows7, err := Fig7([]int{4, 8}, pl)
+	rows7, err := Fig7Pool(context.Background(), engine.Default(), []int{4, 8}, pl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,17 +30,13 @@ func DistributionAlgorithms() []string {
 	return []string{"HeteroPrio", "DualHP", "HEFT", "MCT"}
 }
 
-// Distribution draws `samples` random bimodal instances (the dense
+// DistributionPool draws `samples` random bimodal instances (the dense
 // linear-algebra-like affinity mix) of `tasks` tasks on pl and summarizes
-// each algorithm's ratio to the combined lower bound.
-func Distribution(samples, tasks int, pl platform.Platform, seed int64) ([]DistributionRow, error) {
-	return DistributionPool(context.Background(), engine.Default(), samples, tasks, pl, seed)
-}
-
-// DistributionPool is Distribution fanned out on p: one cell per sample.
-// Each cell derives its own RNG from (seed, sample index) — the earlier
-// sequential version threaded one shared source through every sample,
-// which would have made the draws depend on execution order.
+// each algorithm's ratio to the combined lower bound. It fans out on p:
+// one cell per sample. Each cell derives its own RNG from (seed, sample
+// index) — the earlier sequential version threaded one shared source
+// through every sample, which would have made the draws depend on
+// execution order.
 func DistributionPool(ctx context.Context, p *engine.Pool, samples, tasks int, pl platform.Platform, seed int64) ([]DistributionRow, error) {
 	perSample, err := engine.Map(ctx, p, engine.Job{Cells: samples, Seed: seed}, func(_ context.Context, c engine.Cell) (map[string]float64, error) {
 		rng := c.Rand()

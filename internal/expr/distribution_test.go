@@ -1,12 +1,15 @@
 package expr
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestDistribution(t *testing.T) {
-	rows, err := Distribution(40, 60, PaperPlatform(), 3)
+	rows, err := DistributionPool(context.Background(), engine.Default(), 40, 60, PaperPlatform(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

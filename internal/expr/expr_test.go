@@ -1,11 +1,13 @@
 package expr
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/platform"
 	"repro/internal/workloads"
 )
@@ -38,7 +40,7 @@ func TestRunDAGUnknown(t *testing.T) {
 }
 
 func TestFig6Small(t *testing.T) {
-	rows, err := Fig6([]int{4, 8}, PaperPlatform())
+	rows, err := Fig6Pool(context.Background(), engine.Default(), []int{4, 8}, PaperPlatform())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestFig6Small(t *testing.T) {
 }
 
 func TestFig7SmallAndViews(t *testing.T) {
-	rows, err := Fig7([]int{4, 8}, PaperPlatform())
+	rows, err := Fig7Pool(context.Background(), engine.Default(), []int{4, 8}, PaperPlatform())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestAblationSmall(t *testing.T) {
-	rows, err := Ablation([]int{4, 8}, PaperPlatform())
+	rows, err := AblationPool(context.Background(), engine.Default(), []int{4, 8}, PaperPlatform())
 	if err != nil {
 		t.Fatal(err)
 	}

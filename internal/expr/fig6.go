@@ -21,17 +21,12 @@ type Fig6Row struct {
 	Ratio map[string]float64
 }
 
-// Fig6 reproduces Figure 6 ("Results for independent tasks"): for each
-// factorization kernel family and tile count, the kernel instances are
-// scheduled as independent tasks by HeteroPrio, DualHP and HEFT, and
-// compared against the area bound.
-func Fig6(Ns []int, pl platform.Platform) ([]Fig6Row, error) {
-	return Fig6Pool(context.Background(), engine.Default(), Ns, pl)
-}
-
-// Fig6Pool is Fig6 fanned out on p: one cell per (kernel, tile count)
-// pair. Cells are pure functions of their pair, so rows come back in the
-// sequential loop's order whatever the pool width.
+// Fig6Pool reproduces Figure 6 ("Results for independent tasks"): for
+// each factorization kernel family and tile count, the kernel instances
+// are scheduled as independent tasks by HeteroPrio, DualHP and HEFT, and
+// compared against the area bound. It fans out on p: one cell per
+// (kernel, tile count) pair. Cells are pure functions of their pair, so
+// rows come back in the sequential loop's order whatever the pool width.
 func Fig6Pool(ctx context.Context, p *engine.Pool, Ns []int, pl platform.Platform) ([]Fig6Row, error) {
 	cells := factorizationCells(Ns)
 	return engine.Map(ctx, p, engine.Job{Cells: len(cells)}, func(_ context.Context, c engine.Cell) (Fig6Row, error) {

@@ -29,15 +29,11 @@ type Fig7Row struct {
 	NormIdle map[string]map[platform.Kind]float64
 }
 
-// Fig7 reproduces Figures 7-9 ("Results for different DAGs", "Equivalent
-// acceleration factors", "Normalized idle time"): the seven algorithms on
-// Cholesky/QR/LU task graphs.
-func Fig7(Ns []int, pl platform.Platform) ([]Fig7Row, error) {
-	return Fig7Pool(context.Background(), engine.Default(), Ns, pl)
-}
-
-// Fig7Pool is Fig7 fanned out on p: one cell per (kernel, tile count)
-// pair, each building its own graph so cells share no mutable state.
+// Fig7Pool reproduces Figures 7-9 ("Results for different DAGs",
+// "Equivalent acceleration factors", "Normalized idle time"): the seven
+// algorithms on Cholesky/QR/LU task graphs. It fans out on p: one cell
+// per (kernel, tile count) pair, each building its own graph so cells
+// share no mutable state.
 func Fig7Pool(ctx context.Context, p *engine.Pool, Ns []int, pl platform.Platform) ([]Fig7Row, error) {
 	cells := factorizationCells(Ns)
 	return engine.Map(ctx, p, engine.Job{Cells: len(cells)}, func(_ context.Context, c engine.Cell) (Fig7Row, error) {

@@ -25,13 +25,9 @@ type KernelMixRow struct {
 	GPUShare map[string]float64
 }
 
-// KernelMix computes the rows for every Figure 7 algorithm.
-func KernelMix(fact workloads.Factorization, N int, pl platform.Platform) ([]KernelMixRow, error) {
-	return KernelMixPool(context.Background(), engine.Default(), fact, N, pl)
-}
-
-// KernelMixPool is KernelMix fanned out on p: one cell per algorithm,
-// each scheduling its own freshly built graph.
+// KernelMixPool computes the rows for every Figure 7 algorithm. It fans
+// out on p: one cell per algorithm, each scheduling its own freshly built
+// graph.
 func KernelMixPool(ctx context.Context, p *engine.Pool, fact workloads.Factorization, N int, pl platform.Platform) ([]KernelMixRow, error) {
 	algs := DAGAlgorithms()
 	return engine.Map(ctx, p, engine.Job{Cells: len(algs)}, func(_ context.Context, c engine.Cell) (KernelMixRow, error) {

@@ -1,14 +1,16 @@
 package expr
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/workloads"
 )
 
 func TestKernelMix(t *testing.T) {
-	rows, err := KernelMix(workloads.FactCholesky, 12, PaperPlatform())
+	rows, err := KernelMixPool(context.Background(), engine.Default(), workloads.FactCholesky, 12, PaperPlatform())
 	if err != nil {
 		t.Fatal(err)
 	}

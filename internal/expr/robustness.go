@@ -35,20 +35,15 @@ func RobustnessAlgorithms() []string {
 	return []string{"HeteroPrio-min", "DualHP-min", "HEFT-min", "MCT"}
 }
 
-// Robustness runs the estimation-noise study motivated by the paper's
-// introduction ("NUMA effects ... render the precise estimation of the
-// duration of tasks extremely difficult"): per-run durations are the
-// nominal times multiplied by log-normal noise exp(sigma*N(0,1)), unknown
-// to the schedulers.
-func Robustness(fact workloads.Factorization, N int, sigmas []float64, seeds int, pl platform.Platform) ([]RobustnessRow, error) {
-	return RobustnessPool(context.Background(), engine.Default(), fact, N, sigmas, seeds, pl)
-}
-
-// RobustnessPool is Robustness fanned out on p: one cell per (sigma,
-// seed) pair. The jitter RNG was already derived per cell (from the seed
-// index), so parallel cells draw exactly the sequential run's noise; the
-// per-sigma means are then reduced in seed order, keeping the float
-// addition order — and hence the output bytes — of the sequential loop.
+// RobustnessPool runs the estimation-noise study motivated by the
+// paper's introduction ("NUMA effects ... render the precise estimation
+// of the duration of tasks extremely difficult"): per-run durations are
+// the nominal times multiplied by log-normal noise exp(sigma*N(0,1)),
+// unknown to the schedulers. It fans out on p: one cell per (sigma, seed)
+// pair. The jitter RNG is derived per cell (from the seed index), so
+// parallel cells draw exactly the sequential run's noise; the per-sigma
+// means are then reduced in seed order, keeping the float addition order
+// — and hence the output bytes — of the sequential loop.
 func RobustnessPool(ctx context.Context, p *engine.Pool, fact workloads.Factorization, N int, sigmas []float64, seeds int, pl platform.Platform) ([]RobustnessRow, error) {
 	type cell struct {
 		sigma float64

@@ -1,15 +1,17 @@
 package expr
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/workloads"
 )
 
 func TestRobustnessZeroSigmaMatchesNominal(t *testing.T) {
 	pl := PaperPlatform()
-	rows, err := Robustness(workloads.FactCholesky, 8, []float64{0}, 2, pl)
+	rows, err := RobustnessPool(context.Background(), engine.Default(), workloads.FactCholesky, 8, []float64{0}, 2, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func TestRobustnessZeroSigmaMatchesNominal(t *testing.T) {
 
 func TestRobustnessNoiseSweep(t *testing.T) {
 	pl := PaperPlatform()
-	rows, err := Robustness(workloads.FactCholesky, 8, []float64{0, 0.3}, 2, pl)
+	rows, err := RobustnessPool(context.Background(), engine.Default(), workloads.FactCholesky, 8, []float64{0, 0.3}, 2, pl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,13 +96,8 @@ type TournamentRow struct {
 	Best string
 }
 
-// Tournament runs the sweep on the default pool.
-func Tournament(cfg TournamentConfig) ([]TournamentRow, error) {
-	return TournamentPool(context.Background(), engine.Default(), cfg)
-}
-
-// TournamentPool is Tournament fanned out on p: one engine cell per
-// (shape, spread) pair, with per-cell derived RNG seeds, so rows are
+// TournamentPool runs the sweep on p: one engine cell per (shape,
+// spread) pair, with per-cell derived RNG seeds, so rows are
 // byte-identical to a sequential run at any pool width.
 func TournamentPool(ctx context.Context, p *engine.Pool, cfg TournamentConfig) ([]TournamentRow, error) {
 	type cell struct {

@@ -2,14 +2,11 @@ package obs
 
 import (
 	"context"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/platform"
 )
 
 // Request-scoped span tracing: a Trace is a tree of timed Spans covering
@@ -439,73 +436,4 @@ func (t *TraceTree) Walk(visit func(*SpanNode)) {
 	for _, n := range t.Spans {
 		rec(n)
 	}
-}
-
-// SpanObserver bridges the zero-alloc scheduler Observer hooks (emitted
-// by internal/core's event loops and internal/runtime's live executor)
-// into a span: it accumulates per-run aggregates with atomics — nothing
-// allocates per event — and Finish annotates the span with the simulated
-// quantities, so a compute span explains not just how long the scheduler
-// ran but what it did (tasks, spoliations, wasted work, makespan).
-type SpanObserver struct {
-	queued      atomic.Int64
-	completed   atomic.Int64
-	spoliations atomic.Int64
-	wastedMS    atomicFloat
-	maxNowMS    atomicFloat
-
-	span *Span
-}
-
-// NewSpanObserver returns a SpanObserver annotating sp (must be non-nil)
-// when Finish is called.
-func NewSpanObserver(sp *Span) *SpanObserver { return &SpanObserver{span: sp} }
-
-// maxStore lifts f to max(f, v) with a CAS loop.
-func maxStore(f *atomicFloat, v float64) {
-	for {
-		old := f.Load()
-		if v <= old || f.bits.CompareAndSwap(math.Float64bits(old), math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-func (o *SpanObserver) TaskQueued(now float64, _ platform.Task, _ int) {
-	o.queued.Add(1)
-	maxStore(&o.maxNowMS, now)
-}
-
-func (o *SpanObserver) TaskStarted(now float64, _ int, _ platform.Kind, _ platform.Task, _ float64, _ bool) {
-	maxStore(&o.maxNowMS, now)
-}
-
-func (o *SpanObserver) TaskSpoliated(now float64, _, _ int, _ platform.Task, wasted float64) {
-	o.spoliations.Add(1)
-	o.wastedMS.Add(wasted)
-	maxStore(&o.maxNowMS, now)
-}
-
-func (o *SpanObserver) TaskCompleted(now float64, _ int, _ platform.Kind, _ platform.Task, _ float64) {
-	o.completed.Add(1)
-	maxStore(&o.maxNowMS, now)
-}
-
-func (o *SpanObserver) WorkerIdle(now float64, _ int, _ platform.Kind) {
-	maxStore(&o.maxNowMS, now)
-}
-
-func (o *SpanObserver) QueueDepthSample(now float64, _ int) {
-	maxStore(&o.maxNowMS, now)
-}
-
-// Finish annotates the span with the accumulated schedule quantities.
-// Call it before ending the span; the observer must not receive further
-// events afterwards.
-func (o *SpanObserver) Finish() {
-	o.span.AnnotateInt("sim_tasks_queued", o.queued.Load())
-	o.span.AnnotateInt("sim_tasks_completed", o.completed.Load())
-	o.span.AnnotateInt("sim_spoliations", o.spoliations.Load())
-	o.span.AnnotateInt("sim_wasted_ms", int64(o.wastedMS.Load()+0.5))
-	o.span.AnnotateInt("sim_makespan_ms", int64(o.maxNowMS.Load()+0.5))
 }

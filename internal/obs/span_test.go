@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/platform"
 )
 
 // spinFor burns wall time without sleeping, giving spans measurable,
@@ -212,41 +210,6 @@ func TestSpanAnnotationBound(t *testing.T) {
 	spans := td.Spans()
 	if len(spans) != 1 || spans[0].NAnn != maxAnnotations {
 		t.Fatalf("annotations retained: %d", spans[0].NAnn)
-	}
-}
-
-func TestSpanObserverBridge(t *testing.T) {
-	tr := NewTracer(1)
-	sp := tr.StartTrace("compute")
-	o := NewSpanObserver(sp)
-	var obs Observer = o // must satisfy the scheduler Observer contract
-	var task platform.Task
-	obs.TaskQueued(0, task, 1)
-	obs.TaskQueued(1, task, 2)
-	obs.TaskStarted(2, 0, 0, task, 10, false)
-	obs.TaskSpoliated(5, 1, 0, task, 4.2)
-	obs.TaskCompleted(12.7, 0, 0, task, 2)
-	obs.WorkerIdle(12.7, 1, 0)
-	obs.QueueDepthSample(12.7, 0)
-	o.Finish()
-	sp.End()
-
-	spans := tr.Recent()[0].Spans()
-	ann := map[string]int64{}
-	for _, a := range spans[0].Annots[:spans[0].NAnn] {
-		ann[a.Key] = a.Int
-	}
-	want := map[string]int64{
-		"sim_tasks_queued":    2,
-		"sim_tasks_completed": 1,
-		"sim_spoliations":     1,
-		"sim_wasted_ms":       4, // 4.2 rounded
-		"sim_makespan_ms":     13,
-	}
-	for k, v := range want {
-		if ann[k] != v {
-			t.Errorf("%s = %d, want %d (all: %v)", k, ann[k], v, ann)
-		}
 	}
 }
 

@@ -1,13 +1,13 @@
 package runtime
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/cancel"
 	"repro/internal/clock"
 	"repro/internal/platform"
 	"repro/internal/tile"
+	"repro/internal/workloads"
 )
 
 // CholeskyEstimates holds the measured per-kernel durations (seconds) of
@@ -54,138 +54,59 @@ func CalibrateCholeskyClock(b int, rng *rand.Rand, clk clock.Clock) CholeskyEsti
 		}
 		return t
 	}
-	timeIt := func(f func()) float64 {
-		start := clk.Now()
-		f()
-		return clk.Since(start).Seconds()
-	}
 	est := CholeskyEstimates{B: b}
 	// POTRF (both classes share the implementation; measure twice anyway).
 	a1, a2 := spd(), spd()
-	est.POTRF[0] = timeIt(func() { _ = tile.POTRF(a1, b) })
-	est.POTRF[1] = timeIt(func() { _ = tile.POTRFFast(a2, b) })
+	est.POTRF[0] = timeIt(clk, func() { _, _ = tile.POTRF(a1, b, nil) })
+	est.POTRF[1] = timeIt(clk, func() { _, _ = tile.POTRF(a2, b, nil) })
 	l := spd()
-	_ = tile.POTRF(l, b)
+	_, _ = tile.POTRF(l, b, nil)
 	t1, t2 := mk(), mk()
-	est.TRSM[0] = timeIt(func() { tile.TRSM(t1, l, b) })
-	est.TRSM[1] = timeIt(func() { tile.TRSMFast(t2, l, b) })
+	est.TRSM[0] = timeIt(clk, func() { tile.TRSM(t1, l, b, nil) })
+	est.TRSM[1] = timeIt(clk, func() { tile.TRSMFast(t2, l, b, nil) })
 	c1, c2, x := mk(), mk(), mk()
-	est.SYRK[0] = timeIt(func() { tile.SYRK(c1, x, b) })
-	est.SYRK[1] = timeIt(func() { tile.SYRKFast(c2, x, b) })
+	est.SYRK[0] = timeIt(clk, func() { tile.SYRK(c1, x, b, nil) })
+	est.SYRK[1] = timeIt(clk, func() { tile.SYRKFast(c2, x, b, nil) })
 	g1, g2, y := mk(), mk(), mk()
-	est.GEMM[0] = timeIt(func() { tile.GEMM(g1, x, y, b) })
-	est.GEMM[1] = timeIt(func() { tile.GEMMFast(g2, x, y, b) })
+	est.GEMM[0] = timeIt(clk, func() { tile.GEMM(g1, x, y, b, nil) })
+	est.GEMM[1] = timeIt(clk, func() { tile.GEMMFast(g2, x, y, b, nil) })
 	return est
 }
 
 // CholeskyGraph builds the runtime task graph factoring td in place: the
-// standard right-looking tiled Cholesky with one task per kernel instance.
-// CPU-class runs use the naive reference kernels, GPU-class runs the
-// blocked fast kernels, so the acceleration factors are real. Each task
-// snapshots the single tile it mutates before its first attempt and
-// restores it if a run is spoliated.
+// graph of workloads.Cholesky, one task per kernel instance of the
+// right-looking tiled Cholesky. CPU-class runs use the naive reference
+// kernels, GPU-class runs the blocked fast kernels, so the acceleration
+// factors are real. Each task snapshots the single tile it mutates before
+// its first attempt and restores it if a run is spoliated.
 func CholeskyGraph(td *tile.Tiled, est CholeskyEstimates) (*Graph, error) {
-	if est.B != td.B {
-		return nil, fmt.Errorf("runtime: estimates for tile size %d, matrix uses %d", est.B, td.B)
-	}
-	g := NewGraph()
-	nt, b := td.NT, td.B
-	// last[i][j] is the last task writing tile (i,j).
-	last := make([][]int, nt)
-	for i := range last {
-		last[i] = make([]int, nt)
-		for j := range last[i] {
-			last[i][j] = -1
+	b := td.B
+	kernels := func(kind platform.Kind) tile.Kernels {
+		if kind == platform.GPU {
+			return tile.KernelsFor(tile.Fast)
 		}
+		return tile.KernelsFor(tile.Reference)
 	}
-	dep := func(task, i, j int) {
-		if w := last[i][j]; w >= 0 && w != task {
-			g.AddDep(w, task)
+	return factorGraph(workloads.FactCholesky, td, est.B, func(op string, i, j, k int) (Task, bool) {
+		aij, aik, akk, ajk := td.Tile(i, j), td.Tile(i, k), td.Tile(k, k), td.Tile(j, k)
+		switch op {
+		case "POTRF":
+			return tileTask(est.POTRF, func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				return tile.POTRF(akk, b, flag)
+			}, akk), true
+		case "TRSM":
+			return tileTask(est.TRSM, func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				return kernels(kind).TRSM(aik, akk, b, flag), nil
+			}, aik), true
+		case "SYRK":
+			return tileTask(est.SYRK, func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				return kernels(kind).SYRK(aij, aik, b, flag), nil
+			}, aij), true
+		case "GEMM":
+			return tileTask(est.GEMM, func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				return kernels(kind).GEMM(aij, aik, ajk, b, flag), nil
+			}, aij), true
 		}
-	}
-
-	// snapshotTask wraps a mutating kernel with Prepare/Reset over the
-	// target tile.
-	snapshotTask := func(name string, target []float64, estCPU, estGPU float64,
-		run func(kind platform.Kind, flag *cancel.Flag) (bool, error)) Task {
-		var backup []float64
-		return Task{
-			Name:   name,
-			EstCPU: estCPU,
-			EstGPU: estGPU,
-			Prepare: func() {
-				backup = append([]float64(nil), target...)
-			},
-			Reset: func() {
-				copy(target, backup)
-			},
-			Run: run,
-		}
-	}
-
-	for k := 0; k < nt; k++ {
-		kk := k
-		akk := td.Tile(kk, kk)
-		potrf := g.Add(snapshotTask(
-			fmt.Sprintf("POTRF(%d)", kk), akk, est.POTRF[0], est.POTRF[1],
-			func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
-				return tile.POTRFCancel(akk, b, flag)
-			}))
-		dep(potrf, kk, kk)
-		last[kk][kk] = potrf
-
-		trsm := make([]int, nt)
-		for i := k + 1; i < nt; i++ {
-			ii := i
-			aik := td.Tile(ii, kk)
-			t := g.Add(snapshotTask(
-				fmt.Sprintf("TRSM(%d,%d)", ii, kk), aik, est.TRSM[0], est.TRSM[1],
-				func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
-					if kind == platform.GPU {
-						return tile.TRSMCancel(aik, akk, b, flag), nil
-					}
-					return tile.TRSMRefCancel(aik, akk, b, flag), nil
-				}))
-			g.AddDep(potrf, t)
-			dep(t, ii, kk)
-			last[ii][kk] = t
-			trsm[ii] = t
-		}
-		for i := k + 1; i < nt; i++ {
-			ii := i
-			aik := td.Tile(ii, kk)
-			for j := k + 1; j <= i; j++ {
-				jj := j
-				var t int
-				if ii == jj {
-					aii := td.Tile(ii, ii)
-					t = g.Add(snapshotTask(
-						fmt.Sprintf("SYRK(%d,%d)", ii, kk), aii, est.SYRK[0], est.SYRK[1],
-						func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
-							if kind == platform.GPU {
-								return tile.SYRKCancel(aii, aik, b, flag), nil
-							}
-							return tile.SYRKRefCancel(aii, aik, b, flag), nil
-						}))
-					g.AddDep(trsm[ii], t)
-				} else {
-					aij := td.Tile(ii, jj)
-					ajk := td.Tile(jj, kk)
-					t = g.Add(snapshotTask(
-						fmt.Sprintf("GEMM(%d,%d,%d)", ii, jj, kk), aij, est.GEMM[0], est.GEMM[1],
-						func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
-							if kind == platform.GPU {
-								return tile.GEMMCancel(aij, aik, ajk, b, flag), nil
-							}
-							return tile.GEMMRefCancel(aij, aik, ajk, b, flag), nil
-						}))
-					g.AddDep(trsm[ii], t)
-					g.AddDep(trsm[jj], t)
-				}
-				dep(t, ii, jj)
-				last[ii][jj] = t
-			}
-		}
-	}
-	return g, nil
+		return Task{}, false
+	})
 }

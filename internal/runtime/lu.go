@@ -1,13 +1,13 @@
 package runtime
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/cancel"
 	"repro/internal/clock"
 	"repro/internal/platform"
 	"repro/internal/tile"
+	"repro/internal/workloads"
 )
 
 // LUEstimates holds measured per-kernel durations (seconds) for the tiled
@@ -38,116 +38,49 @@ func CalibrateLUClock(b int, rng *rand.Rand, clk clock.Clock) LUEstimates {
 		return t
 	}
 	dd := tile.RandomDiagDominant(b, rng)
-	timeIt := func(f func()) float64 {
-		start := clk.Now()
-		f()
-		return clk.Since(start).Seconds()
-	}
 	est := LUEstimates{B: b}
 	g1 := dd.Clone()
-	est.GETRF = timeIt(func() { _ = tile.GETRF(g1.Data, b) })
+	est.GETRF = timeIt(clk, func() { _, _ = tile.GETRF(g1.Data, b, nil) })
 	t1 := mk()
-	est.TRSM = timeIt(func() { tile.TRSMUpper(t1, g1.Data, b) })
+	est.TRSM = timeIt(clk, func() { tile.TRSMUpper(t1, g1.Data, b, nil) })
 	c1, c2, x, y := mk(), mk(), mk(), mk()
-	gemmRef := timeIt(func() { tile.GEMMNT(c1, x, y, b) })
-	gemmFast := timeIt(func() { tile.GEMMNTFast(c2, x, y, b) })
+	gemmRef := timeIt(clk, func() { tile.GEMMNT(c1, x, y, b, nil) })
+	gemmFast := timeIt(clk, func() { tile.GEMMNTFast(c2, x, y, b, nil) })
 	est.GEMM = [2]float64{gemmRef, gemmFast}
 	return est
 }
 
 // LUGraph builds the runtime task graph factoring td in place with the
-// tiled LU without pivoting. GEMM updates run the naive kernel on the
-// CPU class and the blocked kernel on the GPU class; panel and solve
-// kernels share one implementation (acceleration factor 1).
+// tiled LU without pivoting: the graph of workloads.LU. GEMM updates run
+// the naive kernel on the CPU class and the blocked kernel on the GPU
+// class; panel and solve kernels share one implementation (acceleration
+// factor 1). Of the two TRSMs, TRSM(k,j,k) solves the row panel with L
+// and TRSM(i,k,k) the column panel with U.
 func LUGraph(td *tile.Tiled, est LUEstimates) (*Graph, error) {
-	if est.B != td.B {
-		return nil, fmt.Errorf("runtime: estimates for tile size %d, matrix uses %d", est.B, td.B)
-	}
-	g := NewGraph()
-	nt, b := td.NT, td.B
-	last := make([][]int, nt)
-	for i := range last {
-		last[i] = make([]int, nt)
-		for j := range last[i] {
-			last[i][j] = -1
-		}
-	}
-	dep := func(task, i, j int) {
-		if w := last[i][j]; w >= 0 && w != task {
-			g.AddDep(w, task)
-		}
-	}
-	snapshot := func(name string, target []float64, estCPU, estGPU float64,
-		run func(kind platform.Kind, flag *cancel.Flag) (bool, error)) Task {
-		var backup []float64
-		return Task{
-			Name: name, EstCPU: estCPU, EstGPU: estGPU,
-			Prepare: func() { backup = append([]float64(nil), target...) },
-			Reset:   func() { copy(target, backup) },
-			Run:     run,
-		}
-	}
-
-	for k := 0; k < nt; k++ {
-		kk := k
-		akk := td.Tile(kk, kk)
-		getrf := g.Add(snapshot(
-			fmt.Sprintf("GETRF(%d)", kk), akk, est.GETRF, est.GETRF,
-			func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
-				return tile.GETRFCancel(akk, b, flag)
-			}))
-		dep(getrf, kk, kk)
-		last[kk][kk] = getrf
-
-		rowT := make([]int, nt)
-		colT := make([]int, nt)
-		for j := k + 1; j < nt; j++ {
-			jj := j
-			akj := td.Tile(kk, jj)
-			t := g.Add(snapshot(
-				fmt.Sprintf("TRSML(%d,%d)", kk, jj), akj, est.TRSM, est.TRSM,
-				func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
-					return tile.TRSMLowerCancel(akj, akk, b, flag), nil
-				}))
-			g.AddDep(getrf, t)
-			dep(t, kk, jj)
-			last[kk][jj] = t
-			rowT[jj] = t
-		}
-		for i := k + 1; i < nt; i++ {
-			ii := i
-			aik := td.Tile(ii, kk)
-			t := g.Add(snapshot(
-				fmt.Sprintf("TRSMU(%d,%d)", ii, kk), aik, est.TRSM, est.TRSM,
-				func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
-					return tile.TRSMUpperCancel(aik, akk, b, flag), nil
-				}))
-			g.AddDep(getrf, t)
-			dep(t, ii, kk)
-			last[ii][kk] = t
-			colT[ii] = t
-		}
-		for i := k + 1; i < nt; i++ {
-			ii := i
-			aik := td.Tile(ii, kk)
-			for j := k + 1; j < nt; j++ {
-				jj := j
-				aij := td.Tile(ii, jj)
-				akj := td.Tile(kk, jj)
-				t := g.Add(snapshot(
-					fmt.Sprintf("GEMM(%d,%d,%d)", ii, jj, kk), aij, est.GEMM[0], est.GEMM[1],
-					func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
-						if kind == platform.GPU {
-							return tile.GEMMNTCancel(aij, aik, akj, b, flag), nil
-						}
-						return tile.GEMMNTRefCancel(aij, aik, akj, b, flag), nil
-					}))
-				g.AddDep(colT[ii], t)
-				g.AddDep(rowT[jj], t)
-				dep(t, ii, jj)
-				last[ii][jj] = t
+	b := td.B
+	return factorGraph(workloads.FactLU, td, est.B, func(op string, i, j, k int) (Task, bool) {
+		aij, aik, akj, akk := td.Tile(i, j), td.Tile(i, k), td.Tile(k, j), td.Tile(k, k)
+		switch op {
+		case "GETRF":
+			return tileTask([2]float64{est.GETRF, est.GETRF}, func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				return tile.GETRF(akk, b, flag)
+			}, akk), true
+		case "TRSM":
+			solve := tile.TRSMUpper
+			if i == k {
+				solve = tile.TRSMLower
 			}
+			return tileTask([2]float64{est.TRSM, est.TRSM}, func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				return solve(aij, akk, b, flag), nil
+			}, aij), true
+		case "GEMM":
+			return tileTask(est.GEMM, func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				if kind == platform.GPU {
+					return tile.GEMMNTFast(aij, aik, akj, b, flag), nil
+				}
+				return tile.GEMMNT(aij, aik, akj, b, flag), nil
+			}, aij), true
 		}
-	}
-	return g, nil
+		return Task{}, false
+	})
 }

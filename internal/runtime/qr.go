@@ -1,13 +1,13 @@
 package runtime
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/cancel"
 	"repro/internal/clock"
 	"repro/internal/platform"
 	"repro/internal/tile"
+	"repro/internal/workloads"
 )
 
 // QREstimates holds measured per-kernel durations (seconds) for the tiled
@@ -37,150 +37,90 @@ func CalibrateQRClock(b int, rng *rand.Rand, clk clock.Clock) QREstimates {
 		}
 		return t
 	}
-	timeIt := func(f func()) float64 {
-		start := clk.Now()
-		f()
-		return clk.Since(start).Seconds()
-	}
 	est := QREstimates{B: b}
 	a, t := mk(), make([]float64, b*b)
-	d := timeIt(func() { tile.GEQRT(a, t, b) })
+	d := timeIt(clk, func() { tile.GEQRT(a, t, b, nil) })
 	est.GEQRT = [2]float64{d, d}
 	c := mk()
-	d = timeIt(func() { tile.LARFB(c, a, t, b) })
+	d = timeIt(clk, func() { tile.LARFB(c, a, t, b, nil) })
 	est.LARFB = [2]float64{d, d}
 	r, bot, t2 := a, mk(), make([]float64, b*b)
-	d = timeIt(func() { tile.TSQRT(r, bot, t2, b) })
+	d = timeIt(clk, func() { tile.TSQRT(r, bot, t2, b, nil) })
 	est.TSQRT = [2]float64{d, d}
 	cT, cB := mk(), mk()
-	d = timeIt(func() { tile.TSMQR(cT, cB, bot, t2, b) })
+	d = timeIt(clk, func() { tile.TSMQR(cT, cB, bot, t2, b, nil) })
 	est.TSMQR = [2]float64{d, d}
 	return est
 }
 
 // QRGraph builds the runtime task graph of the flat-tree tiled QR of td:
-// one task per kernel instance, with per-panel T factors allocated inside
-// the graph and snapshot/restore hooks so spoliation can safely restart
-// any task.
+// the graph of workloads.QR, whose ORMQR tasks run LARFB. The T factors
+// live inside the graph, one per panel k and one per TSQRT(i,k); they are
+// rewritten from scratch on every attempt, so only the matrix tiles get
+// snapshot/restore hooks and spoliation can safely restart any task.
 func QRGraph(td *tile.Tiled, est QREstimates) (*Graph, error) {
-	if est.B != td.B {
-		return nil, fmt.Errorf("runtime: estimates for tile size %d, matrix uses %d", est.B, td.B)
-	}
-	g := NewGraph()
 	nt, b := td.NT, td.B
-	last := make([][]int, nt)
-	for i := range last {
-		last[i] = make([]int, nt)
-		for j := range last[i] {
-			last[i][j] = -1
+	t1 := make([][]float64, nt)    // GEQRT(k)'s T factor, read by ORMQR(k,j,k)
+	t2 := make([][]float64, nt*nt) // TSQRT(i,k)'s, read by TSMQR(i,j,k)
+	tFactor := func(ts [][]float64, at int) []float64 {
+		if ts[at] == nil {
+			ts[at] = make([]float64, b*b)
 		}
+		return ts[at]
 	}
-	dep := func(task, i, j int) {
-		if w := last[i][j]; w >= 0 && w != task {
-			g.AddDep(w, task)
+	return factorGraph(workloads.FactQR, td, est.B, func(op string, i, j, k int) (Task, bool) {
+		aij, aik, akj, akk := td.Tile(i, j), td.Tile(i, k), td.Tile(k, j), td.Tile(k, k)
+		switch op {
+		case "GEQRT":
+			t := tFactor(t1, k)
+			return tileTask(est.GEQRT, func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				return tile.GEQRT(akk, t, b, flag), nil
+			}, akk), true
+		case "ORMQR":
+			t := tFactor(t1, k)
+			return tileTask(est.LARFB, func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				return tile.LARFB(akj, akk, t, b, flag), nil
+			}, akj), true
+		case "TSQRT":
+			return tsqrtTask(est.TSQRT, akk, aik, tFactor(t2, i*nt+k), b), true
+		case "TSMQR":
+			t := tFactor(t2, i*nt+k)
+			return tileTask(est.TSMQR, func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+				return tile.TSMQR(akj, aij, aik, t, b, flag), nil
+			}, akj, aij), true
 		}
-	}
-	// snap wraps a kernel run with Prepare/Reset over the tiles it
-	// mutates (the T factors are rewritten from scratch on every attempt,
-	// so they need no snapshot).
-	snap := func(name string, targets [][]float64, estPair [2]float64,
-		run func(flag *cancel.Flag) bool) Task {
-		backups := make([][]float64, len(targets))
-		return Task{
-			Name: name, EstCPU: estPair[0], EstGPU: estPair[1],
-			Prepare: func() {
-				for i, tgt := range targets {
-					backups[i] = append(backups[i][:0], tgt...)
-				}
-			},
-			Reset: func() {
-				for i, tgt := range targets {
-					copy(tgt, backups[i])
-				}
-			},
-			Run: func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
-				return run(flag), nil
-			},
-		}
-	}
+		return Task{}, false
+	})
+}
 
-	for k := 0; k < nt; k++ {
-		kk := k
-		akk := td.Tile(kk, kk)
-		t1 := make([]float64, b*b)
-		geqrt := g.Add(snap(
-			fmt.Sprintf("GEQRT(%d)", kk), [][]float64{akk}, est.GEQRT,
-			func(flag *cancel.Flag) bool { return tile.GEQRTCancel(akk, t1, b, flag) }))
-		dep(geqrt, kk, kk)
-		last[kk][kk] = geqrt
-
-		rowPrev := make([]int, nt)
-		for j := k + 1; j < nt; j++ {
-			jj := j
-			akj := td.Tile(kk, jj)
-			t := g.Add(snap(
-				fmt.Sprintf("LARFB(%d,%d)", kk, jj), [][]float64{akj}, est.LARFB,
-				func(flag *cancel.Flag) bool { return tile.LARFBCancel(akj, akk, t1, b, flag) }))
-			g.AddDep(geqrt, t)
-			dep(t, kk, jj)
-			last[kk][jj] = t
-			rowPrev[jj] = t
-		}
-		panelPrev := geqrt
-		for i := k + 1; i < nt; i++ {
-			ii := i
-			aik := td.Tile(ii, kk)
-			t2 := make([]float64, b*b)
-			// TSQRT writes only the R part of akk (upper triangle incl.
-			// diagonal); the strict lower triangle holds the Householder
-			// vectors that concurrent LARFB tasks of the same panel read.
-			// The spoliation snapshot must stay inside the written region —
-			// restoring the whole tile would race with those readers.
-			var upperBak, aikBak []float64
-			ts := g.Add(Task{
-				Name:   fmt.Sprintf("TSQRT(%d,%d)", ii, kk),
-				EstCPU: est.TSQRT[0], EstGPU: est.TSQRT[1],
-				Prepare: func() {
-					upperBak = upperBak[:0]
-					for r := 0; r < b; r++ {
-						upperBak = append(upperBak, akk[r*b+r:(r+1)*b]...)
-					}
-					aikBak = append(aikBak[:0], aik...)
-				},
-				Reset: func() {
-					off := 0
-					for r := 0; r < b; r++ {
-						n := b - r
-						copy(akk[r*b+r:(r+1)*b], upperBak[off:off+n])
-						off += n
-					}
-					copy(aik, aikBak)
-				},
-				Run: func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
-					return tile.TSQRTCancel(akk, aik, t2, b, flag), nil
-				},
-			})
-			g.AddDep(panelPrev, ts)
-			dep(ts, ii, kk)
-			last[ii][kk] = ts
-			panelPrev = ts
-			for j := k + 1; j < nt; j++ {
-				jj := j
-				akj := td.Tile(kk, jj)
-				aij := td.Tile(ii, jj)
-				t := g.Add(snap(
-					fmt.Sprintf("TSMQR(%d,%d,%d)", ii, jj, kk), [][]float64{akj, aij}, est.TSMQR,
-					func(flag *cancel.Flag) bool {
-						return tile.TSMQRCancel(akj, aij, aik, t2, b, flag)
-					}))
-				g.AddDep(ts, t)
-				g.AddDep(rowPrev[jj], t)
-				dep(t, ii, jj)
-				last[ii][jj] = t
-				rowPrev[jj] = t
+// tsqrtTask returns the task running TSQRT on the stack [akk; aik]. TSQRT
+// writes only the R part of akk (upper triangle incl. diagonal); the strict
+// lower triangle holds the Householder vectors that concurrent LARFB
+// tasks of the same panel read. The spoliation snapshot must stay inside
+// the written region — restoring the whole tile would race with those
+// readers.
+func tsqrtTask(est [2]float64, akk, aik, t []float64, b int) Task {
+	var upperBak, aikBak []float64
+	return Task{
+		EstCPU: est[0], EstGPU: est[1],
+		Prepare: func() {
+			upperBak = upperBak[:0]
+			for r := 0; r < b; r++ {
+				upperBak = append(upperBak, akk[r*b+r:(r+1)*b]...)
 			}
-		}
-		last[kk][kk] = panelPrev
+			aikBak = append(aikBak[:0], aik...)
+		},
+		Reset: func() {
+			off := 0
+			for r := 0; r < b; r++ {
+				n := b - r
+				copy(akk[r*b+r:(r+1)*b], upperBak[off:off+n])
+				off += n
+			}
+			copy(aik, aikBak)
+		},
+		Run: func(kind platform.Kind, flag *cancel.Flag) (bool, error) {
+			return tile.TSQRT(akk, aik, t, b, flag), nil
+		},
 	}
-	return g, nil
 }

@@ -29,7 +29,7 @@ func BenchmarkKernelGEMMRef(b *testing.B) {
 			x, y, c := benchTiles(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				GEMM(c, x, y, n)
+				GEMM(c, x, y, n, nil)
 			}
 		})
 	}
@@ -41,7 +41,7 @@ func BenchmarkKernelGEMMFast(b *testing.B) {
 			x, y, c := benchTiles(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				GEMMFast(c, x, y, n)
+				GEMMFast(c, x, y, n, nil)
 			}
 		})
 	}
@@ -51,7 +51,7 @@ func BenchmarkKernelSYRKRef(b *testing.B) {
 	x, _, c := benchTiles(b, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SYRK(c, x, 128)
+		SYRK(c, x, 128, nil)
 	}
 }
 
@@ -59,7 +59,7 @@ func BenchmarkKernelSYRKFast(b *testing.B) {
 	x, _, c := benchTiles(b, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SYRKFast(c, x, 128)
+		SYRKFast(c, x, 128, nil)
 	}
 }
 
@@ -70,7 +70,7 @@ func BenchmarkKernelPOTRF(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, src.Data)
-		if err := POTRF(work, 128); err != nil {
+		if _, err := POTRF(work, 128, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func BenchmarkKernelGEQRT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, x)
-		GEQRT(work, t, 128)
+		GEQRT(work, t, 128, nil)
 	}
 }
 

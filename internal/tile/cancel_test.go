@@ -1,7 +1,9 @@
 package tile
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cancel"
@@ -36,124 +38,72 @@ func spdTileN(rng *rand.Rand, b int) []float64 {
 	return x
 }
 
-// Uncancelled cancellable kernels must equal their plain counterparts.
-func TestCancellableKernelsMatchPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	const b = 64
+// kernelCase runs one tile kernel on fresh inputs under a flag and
+// reports whether it completed.
+type kernelCase struct {
+	name string
+	run  func(flag *cancel.Flag) (bool, error)
+}
 
-	a, b2 := randTileN(rng, b), randTileN(rng, b)
-	c1 := randTileN(rng, b)
-	c2 := append([]float64(nil), c1...)
-	c3 := append([]float64(nil), c1...)
-	GEMMFast(c1, a, b2, b)
-	if !GEMMCancel(c2, a, b2, b, nil) {
-		t.Fatal("nil flag must never cancel")
-	}
-	GEMM(c3, a, b2, b)
-	if d := maxDiff(c1, c2); d != 0 {
-		t.Errorf("GEMMCancel differs from GEMMFast by %v", d)
-	}
-	cRef := append([]float64(nil), c3...)
-	_ = cRef
-	c4 := randTileN(rng, b)
-	c5 := append([]float64(nil), c4...)
-	GEMM(c4, a, b2, b)
-	if !GEMMRefCancel(c5, a, b2, b, nil) {
-		t.Fatal("ref cancel with nil flag")
-	}
-	if d := maxDiff(c4, c5); d != 0 {
-		t.Errorf("GEMMRefCancel differs from GEMM by %v", d)
-	}
+// completed adapts a kernel without an error result to kernelCase.run.
+func completed(ok bool) (bool, error) { return ok, nil }
 
-	s1 := randTileN(rng, b)
-	s2 := append([]float64(nil), s1...)
-	s3 := append([]float64(nil), s1...)
-	SYRKFast(s1, a, b)
-	SYRKCancel(s2, a, b, nil)
-	SYRK(s3, a, b)
-	if d := maxDiff(s1, s2); d != 0 {
-		t.Errorf("SYRKCancel differs by %v", d)
-	}
-	s4 := append([]float64(nil), s3...)
-	copy(s4, s3)
-	s5 := randTileN(rng, b)
-	s6 := append([]float64(nil), s5...)
-	SYRK(s5, a, b)
-	SYRKRefCancel(s6, a, b, nil)
-	if d := maxDiff(s5, s6); d != 0 {
-		t.Errorf("SYRKRefCancel differs by %v", d)
-	}
-
-	l := lowerTileN(rng, b)
-	t1 := randTileN(rng, b)
-	t2 := append([]float64(nil), t1...)
-	t3 := append([]float64(nil), t1...)
-	TRSMFast(t1, l, b)
-	TRSMCancel(t2, l, b, nil)
-	TRSM(t3, l, b)
-	if d := maxDiff(t1, t2); d != 0 {
-		t.Errorf("TRSMCancel differs by %v", d)
-	}
-	t4 := randTileN(rng, b)
-	t5 := append([]float64(nil), t4...)
-	TRSM(t4, l, b)
-	TRSMRefCancel(t5, l, b, nil)
-	if d := maxDiff(t4, t5); d != 0 {
-		t.Errorf("TRSMRefCancel differs by %v", d)
-	}
-
-	p1 := spdTileN(rng, b)
-	p2 := append([]float64(nil), p1...)
-	if err := POTRF(p1, b); err != nil {
-		t.Fatal(err)
-	}
-	done, err := POTRFCancel(p2, b, nil)
-	if err != nil || !done {
-		t.Fatalf("POTRFCancel: done=%v err=%v", done, err)
-	}
-	if d := maxDiff(p1, p2); d != 0 {
-		t.Errorf("POTRFCancel differs by %v", d)
+// checkFlagContract holds each kernel to the flag contract: with a nil flag
+// it completes, and with a flag cancelled before the call it abandons the
+// run and reports false without an error.
+func checkFlagContract(t *testing.T, kernels []kernelCase) {
+	t.Helper()
+	for _, k := range kernels {
+		if ok, err := k.run(nil); !ok || err != nil {
+			t.Errorf("%s with a nil flag: completed=%v err=%v, want a completed run", k.name, ok, err)
+		}
+		flag := &cancel.Flag{}
+		flag.Cancel()
+		if ok, err := k.run(flag); ok || err != nil {
+			t.Errorf("%s with a cancelled flag: completed=%v err=%v, want an abandoned run", k.name, ok, err)
+		}
 	}
 }
 
-// Pre-cancelled kernels must abandon immediately and report false.
+// TestCancelledKernelsAbort holds the Cholesky and QR kernels (11 of the
+// package's 16) to the flag contract at b = 64; TestLUCancelledAbort holds
+// the other five.
 func TestCancelledKernelsAbort(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const b = 64
-	flag := &cancel.Flag{}
-	flag.Cancel()
-	a, b2 := randTileN(rng, b), randTileN(rng, b)
-	l := lowerTileN(rng, b)
-	c := randTileN(rng, b)
-	if GEMMCancel(c, a, b2, b, flag) {
-		t.Error("GEMMCancel ignored cancellation")
-	}
-	if GEMMRefCancel(c, a, b2, b, flag) {
-		t.Error("GEMMRefCancel ignored cancellation")
-	}
-	if SYRKCancel(c, a, b, flag) {
-		t.Error("SYRKCancel ignored cancellation")
-	}
-	if SYRKRefCancel(c, a, b, flag) {
-		t.Error("SYRKRefCancel ignored cancellation")
-	}
-	if TRSMCancel(c, l, b, flag) {
-		t.Error("TRSMCancel ignored cancellation")
-	}
-	if TRSMRefCancel(c, l, b, flag) {
-		t.Error("TRSMRefCancel ignored cancellation")
-	}
-	p := spdTileN(rng, b)
-	done, err := POTRFCancel(p, b, flag)
-	if done || err != nil {
-		t.Errorf("POTRFCancel: done=%v err=%v, want cancelled", done, err)
-	}
+	x, y := randTileN(rng, b), randTileN(rng, b)
+	lower := lowerTileN(rng, b)
+	// QR factors: v and t1 from GEQRT, r/bot and t2 from TSQRT.
+	v, t1 := randTileN(rng, b), make([]float64, b*b)
+	GEQRT(v, t1, b, nil)
+	r, bot, t2 := append([]float64(nil), v...), randTileN(rng, b), make([]float64, b*b)
+	TSQRT(r, bot, t2, b, nil)
+	fresh := func() []float64 { return randTileN(rng, b) }
+	clone := func(s []float64) []float64 { return append([]float64(nil), s...) }
+
+	checkFlagContract(t, []kernelCase{
+		{"POTRF", func(f *cancel.Flag) (bool, error) { return POTRF(spdTileN(rng, b), b, f) }},
+		{"TRSM", func(f *cancel.Flag) (bool, error) { return completed(TRSM(fresh(), lower, b, f)) }},
+		{"TRSMFast", func(f *cancel.Flag) (bool, error) { return completed(TRSMFast(fresh(), lower, b, f)) }},
+		{"SYRK", func(f *cancel.Flag) (bool, error) { return completed(SYRK(fresh(), x, b, f)) }},
+		{"SYRKFast", func(f *cancel.Flag) (bool, error) { return completed(SYRKFast(fresh(), x, b, f)) }},
+		{"GEMM", func(f *cancel.Flag) (bool, error) { return completed(GEMM(fresh(), x, y, b, f)) }},
+		{"GEMMFast", func(f *cancel.Flag) (bool, error) { return completed(GEMMFast(fresh(), x, y, b, f)) }},
+		{"GEQRT", func(f *cancel.Flag) (bool, error) { return completed(GEQRT(fresh(), make([]float64, b*b), b, f)) }},
+		{"LARFB", func(f *cancel.Flag) (bool, error) { return completed(LARFB(fresh(), v, t1, b, f)) }},
+		{"TSQRT", func(f *cancel.Flag) (bool, error) {
+			return completed(TSQRT(clone(v), fresh(), make([]float64, b*b), b, f))
+		}},
+		{"TSMQR", func(f *cancel.Flag) (bool, error) { return completed(TSMQR(fresh(), fresh(), bot, t2, b, f)) }},
+	})
 }
 
+// TestPOTRFCancelNotPD: under a live flag, a non-positive pivot completes
+// the run with an error that names the pivot.
 func TestPOTRFCancelNotPD(t *testing.T) {
 	a := []float64{1, 0, 0, -4}
-	done, err := POTRFCancel(a, 2, nil)
-	if !done || err == nil {
-		t.Errorf("non-PD: done=%v err=%v, want completed with error", done, err)
+	done, err := POTRF(a, 2, &cancel.Flag{})
+	if !done || !errors.Is(err, ErrNotPositiveDefinite) || !strings.Contains(err.Error(), "pivot 1 = -4") {
+		t.Errorf("non-PD: done=%v err=%v, want completed with the pivot in the error", done, err)
 	}
 }

@@ -1,6 +1,10 @@
 package tile
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cancel"
+)
 
 // Variant selects a kernel implementation class.
 type Variant int
@@ -27,17 +31,18 @@ func (v Variant) String() string {
 
 // Kernels bundles one implementation of each Cholesky kernel.
 type Kernels struct {
-	POTRF func(a []float64, b int) error
-	TRSM  func(a, l []float64, b int)
-	SYRK  func(c, a []float64, b int)
-	GEMM  func(c, a, b2 []float64, b int)
+	POTRF func(a []float64, b int, flag *cancel.Flag) (bool, error)
+	TRSM  func(a, l []float64, b int, flag *cancel.Flag) bool
+	SYRK  func(c, a []float64, b int, flag *cancel.Flag) bool
+	GEMM  func(c, a, b2 []float64, b int, flag *cancel.Flag) bool
 }
 
-// KernelsFor returns the kernel set of a variant.
+// KernelsFor returns the kernel set of a variant. Both variants share
+// POTRF.
 func KernelsFor(v Variant) Kernels {
 	switch v {
 	case Fast:
-		return Kernels{POTRF: POTRFFast, TRSM: TRSMFast, SYRK: SYRKFast, GEMM: GEMMFast}
+		return Kernels{POTRF: POTRF, TRSM: TRSMFast, SYRK: SYRKFast, GEMM: GEMMFast}
 	default:
 		return Kernels{POTRF: POTRF, TRSM: TRSM, SYRK: SYRK, GEMM: GEMM}
 	}
@@ -51,16 +56,16 @@ func CholeskyTiled(td *Tiled, v Variant) error {
 	k := KernelsFor(v)
 	nt, b := td.NT, td.B
 	for kk := 0; kk < nt; kk++ {
-		if err := k.POTRF(td.Tile(kk, kk), b); err != nil {
+		if _, err := k.POTRF(td.Tile(kk, kk), b, nil); err != nil {
 			return fmt.Errorf("tile: POTRF(%d): %w", kk, err)
 		}
 		for i := kk + 1; i < nt; i++ {
-			k.TRSM(td.Tile(i, kk), td.Tile(kk, kk), b)
+			k.TRSM(td.Tile(i, kk), td.Tile(kk, kk), b, nil)
 		}
 		for i := kk + 1; i < nt; i++ {
-			k.SYRK(td.Tile(i, i), td.Tile(i, kk), b)
+			k.SYRK(td.Tile(i, i), td.Tile(i, kk), b, nil)
 			for j := kk + 1; j < i; j++ {
-				k.GEMM(td.Tile(i, j), td.Tile(i, kk), td.Tile(j, kk), b)
+				k.GEMM(td.Tile(i, j), td.Tile(i, kk), td.Tile(j, kk), b, nil)
 			}
 		}
 	}
@@ -74,7 +79,7 @@ func CholeskyDense(a *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("tile: matrix %dx%d not square", a.Rows, a.Cols)
 	}
 	l := a.Clone()
-	if err := POTRF(l.Data, l.Rows); err != nil {
+	if _, err := POTRF(l.Data, l.Rows, nil); err != nil {
 		return nil, err
 	}
 	// Zero the strict upper triangle for cleanliness.

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/cancel"
 )
 
-// ErrSingular is returned by GETRF variants on a (near-)zero pivot.
+// ErrSingular is returned by GETRF on a (near-)zero pivot.
 var ErrSingular = errors.New("tile: matrix is singular to working precision")
 
 // The LU kernels implement the tiled LU factorization without pivoting
@@ -15,17 +17,21 @@ var ErrSingular = errors.New("tile: matrix is singular to working precision")
 //	GETRF: A_kk -> L_kk \ U_kk   (unit lower / upper, packed in place)
 //	TRSMLower: A_kj -> L_kk^-1 * A_kj      (row panel update)
 //	TRSMUpper: A_ik -> A_ik * U_kk^-1      (column panel update)
-//	GEMM: A_ij -= A_ik * A_kj   (shared with Cholesky's GEMMNT below)
+//	GEMMNT: A_ij -= A_ik * A_kj
 //
 // Note the LU update is C -= A*B (no transpose), unlike the Cholesky
 // GEMM's C -= A*B^T, so it gets its own kernel pair.
 
-// GETRF factors the tile in place into unit-lower L and upper U.
-func GETRF(a []float64, b int) error {
+// GETRF factors the tile in place into unit-lower L and upper U. It
+// polls flag once per pivot block.
+func GETRF(a []float64, b int, flag *cancel.Flag) (bool, error) {
 	for k := 0; k < b; k++ {
+		if k%blockDim == 0 && flag.Cancelled() {
+			return false, nil
+		}
 		pivot := a[k*b+k]
 		if math.Abs(pivot) < 1e-12 {
-			return fmt.Errorf("%w (pivot %d = %v)", ErrSingular, k, pivot)
+			return true, fmt.Errorf("%w (pivot %d = %v)", ErrSingular, k, pivot)
 		}
 		for i := k + 1; i < b; i++ {
 			a[i*b+k] /= pivot
@@ -35,13 +41,17 @@ func GETRF(a []float64, b int) error {
 			}
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // TRSMLower solves L * X = A in place (L unit lower triangular from a
-// GETRF'd tile; only its strictly lower part is read).
-func TRSMLower(a, l []float64, b int) {
+// GETRF'd tile; only its strictly lower part is read). It polls flag once
+// per block of rows.
+func TRSMLower(a, l []float64, b int, flag *cancel.Flag) bool {
 	for i := 1; i < b; i++ {
+		if i%blockDim == 0 && flag.Cancelled() {
+			return false
+		}
 		for k := 0; k < i; k++ {
 			lik := l[i*b+k]
 			if lik == 0 {
@@ -54,12 +64,16 @@ func TRSMLower(a, l []float64, b int) {
 			}
 		}
 	}
+	return true
 }
 
 // TRSMUpper solves X * U = A in place (U upper triangular from a GETRF'd
-// tile, including its diagonal).
-func TRSMUpper(a, u []float64, b int) {
+// tile, including its diagonal). It polls flag once per block of rows.
+func TRSMUpper(a, u []float64, b int, flag *cancel.Flag) bool {
 	for i := 0; i < b; i++ {
+		if i%blockDim == 0 && flag.Cancelled() {
+			return false
+		}
 		row := a[i*b : (i+1)*b]
 		for j := 0; j < b; j++ {
 			s := row[j]
@@ -69,11 +83,16 @@ func TRSMUpper(a, u []float64, b int) {
 			row[j] = s / u[j*b+j]
 		}
 	}
+	return true
 }
 
-// GEMMNT updates c -= a * b2 (no transpose), naive loop order.
-func GEMMNT(c, a, b2 []float64, b int) {
+// GEMMNT updates c -= a * b2 (no transpose), naive loop order. It polls
+// flag once per row.
+func GEMMNT(c, a, b2 []float64, b int, flag *cancel.Flag) bool {
 	for i := 0; i < b; i++ {
+		if flag.Cancelled() {
+			return false
+		}
 		for j := 0; j < b; j++ {
 			s := c[i*b+j]
 			for k := 0; k < b; k++ {
@@ -82,11 +101,16 @@ func GEMMNT(c, a, b2 []float64, b int) {
 			c[i*b+j] = s
 		}
 	}
+	return true
 }
 
 // GEMMNTFast is the blocked variant of GEMMNT (ikj order with row reuse).
-func GEMMNTFast(c, a, b2 []float64, b int) {
+// It polls flag once per k panel.
+func GEMMNTFast(c, a, b2 []float64, b int, flag *cancel.Flag) bool {
 	for kk := 0; kk < b; kk += blockDim {
+		if flag.Cancelled() {
+			return false
+		}
 		kmax := min(kk+blockDim, b)
 		for i := 0; i < b; i++ {
 			arow := a[i*b : (i+1)*b]
@@ -103,6 +127,7 @@ func GEMMNTFast(c, a, b2 []float64, b int) {
 			}
 		}
 	}
+	return true
 }
 
 // LUTiled factors the tiled matrix in place with the right-looking tiled
@@ -114,18 +139,18 @@ func LUTiled(td *Tiled, fast bool) error {
 	}
 	nt, b := td.NT, td.B
 	for k := 0; k < nt; k++ {
-		if err := GETRF(td.Tile(k, k), b); err != nil {
+		if _, err := GETRF(td.Tile(k, k), b, nil); err != nil {
 			return fmt.Errorf("tile: GETRF(%d): %w", k, err)
 		}
 		for j := k + 1; j < nt; j++ {
-			TRSMLower(td.Tile(k, j), td.Tile(k, k), b)
+			TRSMLower(td.Tile(k, j), td.Tile(k, k), b, nil)
 		}
 		for i := k + 1; i < nt; i++ {
-			TRSMUpper(td.Tile(i, k), td.Tile(k, k), b)
+			TRSMUpper(td.Tile(i, k), td.Tile(k, k), b, nil)
 		}
 		for i := k + 1; i < nt; i++ {
 			for j := k + 1; j < nt; j++ {
-				gemm(td.Tile(i, j), td.Tile(i, k), td.Tile(k, j), b)
+				gemm(td.Tile(i, j), td.Tile(i, k), td.Tile(k, j), b, nil)
 			}
 		}
 	}
@@ -139,7 +164,7 @@ func LUDense(a *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("tile: matrix %dx%d not square", a.Rows, a.Cols)
 	}
 	lu := a.Clone()
-	if err := GETRF(lu.Data, lu.Rows); err != nil {
+	if _, err := GETRF(lu.Data, lu.Rows, nil); err != nil {
 		return nil, err
 	}
 	return lu, nil

@@ -11,7 +11,7 @@ import (
 
 func TestGETRFSingular(t *testing.T) {
 	a := []float64{0, 1, 1, 1} // zero pivot
-	if err := GETRF(a, 2); err == nil {
+	if _, err := GETRF(a, 2, nil); err == nil {
 		t.Error("singular tile accepted")
 	}
 }
@@ -40,7 +40,7 @@ func TestTRSMLowerSolves(t *testing.T) {
 	const b = 8
 	rng := rand.New(rand.NewSource(2))
 	l := RandomDiagDominant(b, rng)
-	if err := GETRF(l.Data, b); err != nil {
+	if _, err := GETRF(l.Data, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	orig := make([]float64, b*b)
@@ -48,7 +48,7 @@ func TestTRSMLowerSolves(t *testing.T) {
 		orig[i] = rng.Float64()
 	}
 	x := append([]float64(nil), orig...)
-	TRSMLower(x, l.Data, b)
+	TRSMLower(x, l.Data, b, nil)
 	// Recompute L*X (L unit lower from l).
 	for i := 0; i < b; i++ {
 		for j := 0; j < b; j++ {
@@ -67,7 +67,7 @@ func TestTRSMUpperSolves(t *testing.T) {
 	const b = 8
 	rng := rand.New(rand.NewSource(3))
 	u := RandomDiagDominant(b, rng)
-	if err := GETRF(u.Data, b); err != nil {
+	if _, err := GETRF(u.Data, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	orig := make([]float64, b*b)
@@ -75,7 +75,7 @@ func TestTRSMUpperSolves(t *testing.T) {
 		orig[i] = rng.Float64()
 	}
 	x := append([]float64(nil), orig...)
-	TRSMUpper(x, u.Data, b)
+	TRSMUpper(x, u.Data, b, nil)
 	// Recompute X*U (U upper incl. diagonal from u).
 	for i := 0; i < b; i++ {
 		for j := 0; j < b; j++ {
@@ -96,8 +96,8 @@ func TestGEMMNTVariantsAgree(t *testing.T) {
 	a, b2 := randTileN(rng, b), randTileN(rng, b)
 	c1 := randTileN(rng, b)
 	c2 := append([]float64(nil), c1...)
-	GEMMNT(c1, a, b2, b)
-	GEMMNTFast(c2, a, b2, b)
+	GEMMNT(c1, a, b2, b, nil)
+	GEMMNTFast(c2, a, b2, b, nil)
 	if d := maxDiff(c1, c2); d > 1e-10 {
 		t.Errorf("GEMMNT variants differ by %v", d)
 	}
@@ -162,92 +162,23 @@ func TestLUTiledProperty(t *testing.T) {
 	}
 }
 
-func TestLUCancellableMatchPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const b = 64
-	dd := RandomDiagDominant(b, rng)
-	g1 := dd.Clone()
-	g2 := dd.Clone()
-	if err := GETRF(g1.Data, b); err != nil {
-		t.Fatal(err)
-	}
-	done, err := GETRFCancel(g2.Data, b, nil)
-	if !done || err != nil {
-		t.Fatalf("GETRFCancel: %v %v", done, err)
-	}
-	if d := MaxAbsDiff(g1, g2); d != 0 {
-		t.Errorf("GETRFCancel differs by %v", d)
-	}
-
-	a1 := randTileN(rng, b)
-	a2 := append([]float64(nil), a1...)
-	TRSMLower(a1, g1.Data, b)
-	if !TRSMLowerCancel(a2, g1.Data, b, nil) {
-		t.Fatal("TRSMLowerCancel cancelled with nil flag")
-	}
-	if d := maxDiff(a1, a2); d != 0 {
-		t.Errorf("TRSMLowerCancel differs by %v", d)
-	}
-
-	u1 := randTileN(rng, b)
-	u2 := append([]float64(nil), u1...)
-	TRSMUpper(u1, g1.Data, b)
-	if !TRSMUpperCancel(u2, g1.Data, b, nil) {
-		t.Fatal("TRSMUpperCancel cancelled with nil flag")
-	}
-	if d := maxDiff(u1, u2); d != 0 {
-		t.Errorf("TRSMUpperCancel differs by %v", d)
-	}
-
-	x, y := randTileN(rng, b), randTileN(rng, b)
-	c1 := randTileN(rng, b)
-	c2 := append([]float64(nil), c1...)
-	GEMMNTFast(c1, x, y, b)
-	if !GEMMNTCancel(c2, x, y, b, nil) {
-		t.Fatal("GEMMNTCancel cancelled with nil flag")
-	}
-	if d := maxDiff(c1, c2); d != 0 {
-		t.Errorf("GEMMNTCancel differs by %v", d)
-	}
-}
-
+// TestLUCancelledAbort holds the five LU kernels to the flag contract at
+// b = 64 (see checkFlagContract).
 func TestLUCancelledAbort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const b = 64
-	flag := &cancel.Flag{}
-	flag.Cancel()
-	dd := RandomDiagDominant(b, rng)
-	if done, _ := GETRFCancel(dd.Data, b, flag); done {
-		t.Error("GETRFCancel ignored cancellation")
-	}
-	l := dd.Clone()
-	a := randTileN(rng, b)
-	if TRSMLowerCancel(a, l.Data, b, flag) {
-		t.Error("TRSMLowerCancel ignored cancellation")
-	}
-	if TRSMUpperCancel(a, l.Data, b, flag) {
-		t.Error("TRSMUpperCancel ignored cancellation")
+	lu := RandomDiagDominant(b, rng).Data
+	if _, err := GETRF(lu, b, nil); err != nil {
+		t.Fatal(err)
 	}
 	x, y := randTileN(rng, b), randTileN(rng, b)
-	if GEMMNTCancel(a, x, y, b, flag) {
-		t.Error("GEMMNTCancel ignored cancellation")
-	}
-	if GEMMNTRefCancel(a, x, y, b, flag) {
-		t.Error("GEMMNTRefCancel ignored cancellation")
-	}
-}
+	fresh := func() []float64 { return randTileN(rng, b) }
 
-func TestGEMMNTRefCancelMatchesPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const b = 48
-	x, y := randTileN(rng, b), randTileN(rng, b)
-	c1 := randTileN(rng, b)
-	c2 := append([]float64(nil), c1...)
-	GEMMNT(c1, x, y, b)
-	if !GEMMNTRefCancel(c2, x, y, b, nil) {
-		t.Fatal("cancelled with nil flag")
-	}
-	if d := maxDiff(c1, c2); d != 0 {
-		t.Errorf("GEMMNTRefCancel differs by %v", d)
-	}
+	checkFlagContract(t, []kernelCase{
+		{"GETRF", func(f *cancel.Flag) (bool, error) { return GETRF(RandomDiagDominant(b, rng).Data, b, f) }},
+		{"TRSMLower", func(f *cancel.Flag) (bool, error) { return completed(TRSMLower(fresh(), lu, b, f)) }},
+		{"TRSMUpper", func(f *cancel.Flag) (bool, error) { return completed(TRSMUpper(fresh(), lu, b, f)) }},
+		{"GEMMNT", func(f *cancel.Flag) (bool, error) { return completed(GEMMNT(fresh(), x, y, b, f)) }},
+		{"GEMMNTFast", func(f *cancel.Flag) (bool, error) { return completed(GEMMNTFast(fresh(), x, y, b, f)) }},
+	})
 }

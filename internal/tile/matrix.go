@@ -1,14 +1,17 @@
 // Package tile implements the dense linear-algebra substrate behind the
-// paper's workloads: square float64 tiles with the four Cholesky kernels
-// (POTRF, TRSM, SYRK, GEMM), each in two implementations — a naive
-// reference ("CPU-class") and a cache-blocked, loop-reordered variant
-// ("accelerator-class", several times faster on update kernels). The speed
-// gap between the two variants reproduces, with real computation, the
-// affinity structure of Table 1: update kernels accelerate a lot, the
-// panel factorization barely at all.
+// paper's workloads: square float64 tiles with the Cholesky, LU and QR
+// kernels. Cholesky's TRSM, SYRK and GEMM and LU's GEMM-NT come in two
+// implementations — a naive reference ("CPU-class") and a cache-blocked,
+// loop-reordered variant ("accelerator-class", several times faster on
+// the updates) — and the other kernels, POTRF among them, in one that
+// both classes run. The speed gap between the two variants reproduces,
+// with real computation, the affinity structure of Table 1: update
+// kernels accelerate a lot, the panel factorization not at all. Every
+// kernel polls a cancellation flag, so the runtime executor can spoliate
+// a run in flight.
 //
-// A tiled Cholesky driver on top of the kernels provides the numerical
-// ground truth used to validate the runtime executor.
+// Tiled drivers on top of the kernels provide the numerical ground truth
+// used to validate the runtime executor.
 package tile
 
 import (

@@ -27,11 +27,8 @@ import (
 // no explicit Q assembly is needed.
 
 // GEQRT factors tile a in place and writes the T factor (b x b, upper
-// triangular) into t.
-func GEQRT(a, t []float64, b int) { GEQRTCancel(a, t, b, nil) }
-
-// GEQRTCancel is GEQRT with a cancellation poll per column block.
-func GEQRTCancel(a, t []float64, b int, flag *cancel.Flag) bool {
+// triangular) into t. It polls flag once per column block.
+func GEQRT(a, t []float64, b int, flag *cancel.Flag) bool {
 	for i := range t {
 		t[i] = 0
 	}
@@ -94,12 +91,9 @@ func GEQRTCancel(a, t []float64, b int, flag *cancel.Flag) bool {
 	return true
 }
 
-// LARFB applies Q^T = I - V T^T V^T (GEQRT factors v, t) to tile c.
-func LARFB(c, v, t []float64, b int) { LARFBCancel(c, v, t, b, nil) }
-
-// LARFBCancel is LARFB with a cancellation poll per row block of the
-// intermediate W computation.
-func LARFBCancel(c, v, t []float64, b int, flag *cancel.Flag) bool {
+// LARFB applies Q^T = I - V T^T V^T (GEQRT factors v, t) to tile c. It
+// polls flag once per row block of the intermediate W computation.
+func LARFB(c, v, t []float64, b int, flag *cancel.Flag) bool {
 	// W = V^T C, with V unit lower triangular (strict lower of v).
 	w := make([]float64, b*b)
 	for j := 0; j < b; j++ {
@@ -139,11 +133,8 @@ func LARFBCancel(c, v, t []float64, b int, flag *cancel.Flag) bool {
 
 // TSQRT factors the stack [R; A] in place: r (upper triangular) is
 // updated, a receives the bottom blocks of the Householder vectors, t the
-// T factor.
-func TSQRT(r, a, t []float64, b int) { TSQRTCancel(r, a, t, b, nil) }
-
-// TSQRTCancel is TSQRT with a cancellation poll per column block.
-func TSQRTCancel(r, a, t []float64, b int, flag *cancel.Flag) bool {
+// T factor. It polls flag once per column block.
+func TSQRT(r, a, t []float64, b int, flag *cancel.Flag) bool {
 	for i := range t {
 		t[i] = 0
 	}
@@ -203,12 +194,9 @@ func TSQRTCancel(r, a, t []float64, b int, flag *cancel.Flag) bool {
 }
 
 // TSMQR applies the TSQRT reflectors (v bottom block, t) to the stacked
-// pair [C_top; C_bot].
-func TSMQR(cTop, cBot, v, t []float64, b int) { TSMQRCancel(cTop, cBot, v, t, b, nil) }
-
-// TSMQRCancel is TSMQR with a cancellation poll per row block of the
+// pair [C_top; C_bot]. It polls flag once per row block of the
 // intermediate W computation.
-func TSMQRCancel(cTop, cBot, v, t []float64, b int, flag *cancel.Flag) bool {
+func TSMQR(cTop, cBot, v, t []float64, b int, flag *cancel.Flag) bool {
 	// W = C_top + V^T C_bot.
 	w := make([]float64, b*b)
 	for j := 0; j < b; j++ {
@@ -260,14 +248,14 @@ func QRTiled(td *Tiled) error {
 	t1 := make([]float64, b*b)
 	t2 := make([]float64, b*b)
 	for k := 0; k < nt; k++ {
-		GEQRT(td.Tile(k, k), t1, b)
+		GEQRT(td.Tile(k, k), t1, b, nil)
 		for j := k + 1; j < nt; j++ {
-			LARFB(td.Tile(k, j), td.Tile(k, k), t1, b)
+			LARFB(td.Tile(k, j), td.Tile(k, k), t1, b, nil)
 		}
 		for i := k + 1; i < nt; i++ {
-			TSQRT(td.Tile(k, k), td.Tile(i, k), t2, b)
+			TSQRT(td.Tile(k, k), td.Tile(i, k), t2, b, nil)
 			for j := k + 1; j < nt; j++ {
-				TSMQR(td.Tile(k, j), td.Tile(i, j), td.Tile(i, k), t2, b)
+				TSMQR(td.Tile(k, j), td.Tile(i, j), td.Tile(i, k), t2, b, nil)
 			}
 		}
 	}

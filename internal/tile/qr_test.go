@@ -13,7 +13,7 @@ func denseQRGram(m *Matrix) *Matrix {
 	n := m.Rows
 	a := m.Clone()
 	t := make([]float64, n*n)
-	GEQRT(a.Data, t, n)
+	GEQRT(a.Data, t, n, nil)
 	r := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
@@ -96,7 +96,7 @@ func TestTSQRTStackOfTwo(t *testing.T) {
 	// Gram matrix of the stack [R; bot] must be preserved by the TSQRT
 	// reduction (its Q is orthonormal).
 	tf := make([]float64, b*b)
-	GEQRT(top, tf, b)
+	GEQRT(top, tf, b, nil)
 	r := make([]float64, b*b)
 	for i := 0; i < b; i++ {
 		for j := i; j < b; j++ {
@@ -105,7 +105,7 @@ func TestTSQRTStackOfTwo(t *testing.T) {
 	}
 	beforeStack := gram(r, bot)
 	t2 := make([]float64, b*b)
-	TSQRT(r, bot, t2, b)
+	TSQRT(r, bot, t2, b, nil)
 	rOnly := make([]float64, b*b)
 	for i := 0; i < b; i++ {
 		for j := i; j < b; j++ {

@@ -50,7 +50,7 @@ func TestRandomSPDIsFactorable(t *testing.T) {
 
 func TestPOTRFNotPD(t *testing.T) {
 	a := []float64{1, 0, 0, -4} // 2x2 with negative trailing pivot
-	if err := POTRF(a, 2); err == nil {
+	if _, err := POTRF(a, 2, nil); err == nil {
 		t.Error("non-PD matrix accepted")
 	}
 }
@@ -107,8 +107,8 @@ func TestFastKernelsMatchReference(t *testing.T) {
 	c1, c2 := randTile(), make([]float64, b*b)
 	copy(c2, c1)
 	a, bb := randTile(), randTile()
-	GEMM(c1, a, bb, b)
-	GEMMFast(c2, a, bb, b)
+	GEMM(c1, a, bb, b, nil)
+	GEMMFast(c2, a, bb, b, nil)
 	if d := maxDiff(c1, c2); d > 1e-10 {
 		t.Errorf("GEMM variants differ by %v", d)
 	}
@@ -116,8 +116,8 @@ func TestFastKernelsMatchReference(t *testing.T) {
 	// SYRK.
 	c1, c2 = randTile(), make([]float64, b*b)
 	copy(c2, c1)
-	SYRK(c1, a, b)
-	SYRKFast(c2, a, b)
+	SYRK(c1, a, b, nil)
+	SYRKFast(c2, a, b, nil)
 	if d := maxDiff(c1, c2); d > 1e-10 {
 		t.Errorf("SYRK variants differ by %v", d)
 	}
@@ -126,8 +126,8 @@ func TestFastKernelsMatchReference(t *testing.T) {
 	l := lowerTile()
 	c1, c2 = randTile(), make([]float64, b*b)
 	copy(c2, c1)
-	TRSM(c1, l, b)
-	TRSMFast(c2, l, b)
+	TRSM(c1, l, b, nil)
+	TRSMFast(c2, l, b, nil)
 	if d := maxDiff(c1, c2); d > 1e-9 {
 		t.Errorf("TRSM variants differ by %v", d)
 	}
@@ -158,7 +158,7 @@ func TestTRSMSolves(t *testing.T) {
 	}
 	x := make([]float64, b*b)
 	copy(x, a)
-	TRSM(x, l, b)
+	TRSM(x, l, b, nil)
 	// Recompute X * L^T.
 	for i := 0; i < b; i++ {
 		for j := 0; j < b; j++ {

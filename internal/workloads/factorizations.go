@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
@@ -198,6 +199,25 @@ func tileName(op string, xs ...int) string {
 		b = strconv.AppendInt(b, int64(x), 10)
 	}
 	return string(append(b, ')'))
+}
+
+// ParseTaskName reads a factorization task's kernel and tile coordinates
+// back from its name, the inverse of tileName on three coordinates:
+// "GEMM(3,2,1)" gives "GEMM", 3, 2, 1.
+func ParseTaskName(name string) (op string, i, j, k int, err error) {
+	op, args, ok := strings.Cut(name, "(")
+	args, closed := strings.CutSuffix(args, ")")
+	xs := strings.Split(args, ",")
+	ok = ok && closed && op != "" && len(xs) == 3
+	var ijk [3]int
+	for n := 0; ok && n < 3; n++ {
+		ijk[n], err = strconv.Atoi(xs[n])
+		ok = err == nil
+	}
+	if !ok {
+		return "", 0, 0, 0, fmt.Errorf("workloads: %q is not a kernel name like GEMM(3,2,1)", name)
+	}
+	return op, ijk[0], ijk[1], ijk[2], nil
 }
 
 // Factorization names a workload family used across the experiments.

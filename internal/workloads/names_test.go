@@ -9,15 +9,30 @@ import (
 	"repro/internal/platform"
 )
 
-// The reference name lists below walk each generator's loops in task-ID
-// order and format every name with the fmt.Sprintf call the generators
-// made before they formatted names themselves.
+// The reference task lists below walk each generator's loops in task-ID
+// order, recording every task's kernel and tile coordinates; refNames
+// formats them with the fmt.Sprintf call the generators made before they
+// formatted names themselves.
 
 func refKernelName(op string, i, j, k int) string { return fmt.Sprintf("%s(%d,%d,%d)", op, i, j, k) }
 
-func refCholeskyNames(N int) []string {
-	var out []string
-	name := func(op string, i, j, k int) { out = append(out, refKernelName(op, i, j, k)) }
+// refTask is a kernel instance: its kernel and tile coordinates.
+type refTask struct {
+	op      string
+	i, j, k int
+}
+
+func refNames(tasks []refTask) []string {
+	out := make([]string, len(tasks))
+	for id, t := range tasks {
+		out[id] = refKernelName(t.op, t.i, t.j, t.k)
+	}
+	return out
+}
+
+func refCholeskyTasks(N int) []refTask {
+	var out []refTask
+	name := func(op string, i, j, k int) { out = append(out, refTask{op, i, j, k}) }
 	for k := 0; k < N; k++ {
 		name("POTRF", k, k, k)
 		for i := k + 1; i < N; i++ {
@@ -36,9 +51,9 @@ func refCholeskyNames(N int) []string {
 	return out
 }
 
-func refQRNames(N int) []string {
-	var out []string
-	name := func(op string, i, j, k int) { out = append(out, refKernelName(op, i, j, k)) }
+func refQRTasks(N int) []refTask {
+	var out []refTask
+	name := func(op string, i, j, k int) { out = append(out, refTask{op, i, j, k}) }
 	for k := 0; k < N; k++ {
 		name("GEQRT", k, k, k)
 		for j := k + 1; j < N; j++ {
@@ -54,9 +69,9 @@ func refQRNames(N int) []string {
 	return out
 }
 
-func refLUNames(N int) []string {
-	var out []string
-	name := func(op string, i, j, k int) { out = append(out, refKernelName(op, i, j, k)) }
+func refLUTasks(N int) []refTask {
+	var out []refTask
+	name := func(op string, i, j, k int) { out = append(out, refTask{op, i, j, k}) }
 	for k := 0; k < N; k++ {
 		name("GETRF", k, k, k)
 		for j := k + 1; j < N; j++ {
@@ -88,9 +103,41 @@ func checkNames(t *testing.T, label string, g *dag.Graph, want []string) {
 
 func TestFactorizationNamesMatchSprintf(t *testing.T) {
 	for N := 1; N <= 24; N++ {
-		checkNames(t, fmt.Sprintf("cholesky-%d", N), Cholesky(N), refCholeskyNames(N))
-		checkNames(t, fmt.Sprintf("qr-%d", N), QR(N), refQRNames(N))
-		checkNames(t, fmt.Sprintf("lu-%d", N), LU(N), refLUNames(N))
+		checkNames(t, fmt.Sprintf("cholesky-%d", N), Cholesky(N), refNames(refCholeskyTasks(N)))
+		checkNames(t, fmt.Sprintf("qr-%d", N), QR(N), refNames(refQRTasks(N)))
+		checkNames(t, fmt.Sprintf("lu-%d", N), LU(N), refNames(refLUTasks(N)))
+	}
+}
+
+// TestParseTaskNameRoundTrips: every factorization task's name parses back
+// to the kernel and tile coordinates its generator loop gave it.
+func TestParseTaskNameRoundTrips(t *testing.T) {
+	for N := 1; N <= 24; N++ {
+		for _, c := range []struct {
+			label string
+			g     *dag.Graph
+			want  []refTask
+		}{
+			{"cholesky", Cholesky(N), refCholeskyTasks(N)},
+			{"qr", QR(N), refQRTasks(N)},
+			{"lu", LU(N), refLUTasks(N)},
+		} {
+			if c.g.Len() != len(c.want) {
+				t.Fatalf("%s-%d: %d tasks, reference %d", c.label, N, c.g.Len(), len(c.want))
+			}
+			for id, w := range c.want {
+				name := c.g.Task(id).Name
+				op, i, j, k, err := ParseTaskName(name)
+				if got := (refTask{op, i, j, k}); err != nil || got != w {
+					t.Fatalf("%s-%d: task %d: ParseTaskName(%q) = %+v, %v; want %+v", c.label, N, id, name, got, err, w)
+				}
+			}
+		}
+	}
+	for _, bad := range []string{"", "GEMM", "(1,2,3)", "GEMM(1,2)", "GEMM(1,2,3,4)", "GEMM(1,2,3", "GEMM(1,x,3)", "cell(1,2)", "chain0[1]"} {
+		if op, i, j, k, err := ParseTaskName(bad); err == nil {
+			t.Errorf("ParseTaskName(%q) = %q, %d, %d, %d; want an error", bad, op, i, j, k)
+		}
 	}
 }
 
