@@ -1,15 +1,14 @@
 // Command hplint runs the repository's static-analysis suite
 // (internal/analysis) over every package in the module and exits non-zero
 // on any diagnostic. It is the machine check behind the invariants the
-// paper's guarantees rest on. Its ten analyzers check deterministic
+// paper's guarantees rest on. Its nine analyzers check deterministic
 // scheduling code (simdeterminism), float comparison hygiene (floateq),
 // the zero-alloc observer and span guard contract (obsguard), ordered map
-// iteration (maporder) and sleep-free tests (sleepsync); flow-sensitively,
-// mutex discipline (lockcheck), scheduler input purity (purity), error
-// handling along every path (errflow) and span End() coverage on every
-// path (spanend); and, module-wide over the call graph, allocation-free
-// hot paths (allocflow). DESIGN.md §8 keeps a ledger of what each one
-// costs and has caught.
+// iteration (maporder) and sleep-free tests (sleepsync); and,
+// flow-sensitively, mutex discipline (lockcheck), scheduler input purity
+// (purity), error handling along every path (errflow) and span End()
+// coverage on every path (spanend). DESIGN.md §8 keeps a ledger of what
+// each one costs and has caught.
 //
 // Usage:
 //
@@ -24,8 +23,6 @@
 //
 //	-catalog          list the analyzers and exit
 //	-json             emit one JSON object per finding, one per line
-//	                  (findings with a call chain carry it in the "chain"
-//	                  field)
 //
 // A finding can be suppressed at the offending line (or the line above)
 // with a justified escape comment:
@@ -48,15 +45,12 @@ import (
 
 // finding is the JSON shape of one diagnostic: stable field names so CI
 // can convert findings to GitHub annotations without parsing text.
-// Chain is present only for findings that carry a call chain (allocflow
-// hot-path chains).
 type finding struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Analyzer string   `json:"analyzer"`
-	Message  string   `json:"message"`
-	Chain    []string `json:"chain,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 func main() {
@@ -116,7 +110,7 @@ func main() {
 	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {
 		if *jsonOut {
-			f := finding{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Analyzer: d.Analyzer, Message: d.Message, Chain: d.Chain}
+			f := finding{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Analyzer: d.Analyzer, Message: d.Message}
 			if err := enc.Encode(f); err != nil {
 				fatal(err)
 			}

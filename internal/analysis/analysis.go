@@ -24,10 +24,10 @@
 //   - errflow: no dropped or shadowed errors along any path in the
 //     binaries and the live executor;
 //   - spanend: every span the serving layer starts reaches End() on every
-//     path;
+//     path.
 //
-// and allocflow, built on the whole-module call graph (callgraph.go,
-// summary.go): nothing reachable from a //hplint:hotpath root allocates.
+// purity and errflow also read one call deep into the module's other
+// packages, through the per-function summaries of summary.go.
 //
 // A diagnostic can be suppressed with a trailing (or immediately
 // preceding) comment of the form
@@ -75,9 +75,9 @@ type Pass struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Prog is the whole-module call graph and summary store (callgraph.go)
-	// the interprocedural checks read: allocflow, and the call-site halves
-	// of purity and errflow. It is never nil.
+	// Prog holds the whole module's function summaries (summary.go),
+	// which the call-site halves of purity and errflow read. It is never
+	// nil.
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -85,29 +85,18 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportChain(pos, nil, format, args...)
-}
-
-// ReportChain records a diagnostic whose finding is explained by a call
-// chain (allocflow). The chain rides along to the JSON output so CI
-// annotations can surface it.
-func (p *Pass) ReportChain(pos token.Pos, chain []string, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Chain:    chain,
 	})
 }
 
 // Diagnostic is one finding, positioned for file.go:line:col rendering.
-// Chain, when set, is the step-by-step explanation (allocflow's call
-// chain).
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Chain    []string
 }
 
 // String renders the diagnostic in the conventional positional format.
@@ -115,11 +104,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// All returns the full suite of ten analyzers in stable order: the five
-// syntactic analyzers, the four flow-sensitive analyzers built on the
-// CFG/dataflow engine (cfg.go, dataflow.go), and allocflow, built on the
-// whole-module call graph (callgraph.go). DESIGN.md §8 keeps a ledger of
-// what each one costs, has caught, and catches that no test does.
+// All returns the full suite of nine analyzers in stable order: the five
+// syntactic analyzers, then the four flow-sensitive analyzers built on
+// the CFG/dataflow engine (cfg.go, dataflow.go). DESIGN.md §8 keeps a
+// ledger of what each one costs, has caught, and catches that no test
+// does.
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism,
@@ -131,7 +120,6 @@ func All() []*Analyzer {
 		Purity,
 		ErrFlow,
 		SpanEnd,
-		AllocFlow,
 	}
 }
 
@@ -202,9 +190,9 @@ func isTestFile(fset *token.FileSet, f *ast.File) bool {
 }
 
 // RunAnalyzersProgram runs every analyzer in suite over pkg with the
-// whole-module call graph prog available to the interprocedural checks,
-// and returns the surviving (non-suppressed) diagnostics sorted by
-// position. prog must be non-nil: BuildProgram over the loaded module.
+// whole-module summaries prog available to the call-site checks, and
+// returns the surviving (non-suppressed) diagnostics sorted by position.
+// prog must be non-nil: BuildProgram over the loaded module.
 func RunAnalyzersProgram(suite []*Analyzer, pkg *Package, prog *Program) []Diagnostic {
 	kept, _ := RunAnalyzersProgramRaw(suite, pkg, prog)
 	return kept

@@ -62,7 +62,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"purity", "internal/sched", Purity},
 		{"errflow", "internal/runtime", ErrFlow},
 		{"spanend", "internal/serve", SpanEnd},
-		{"allocflow", "internal/core", AllocFlow},
 	}
 	for _, c := range cases {
 		t.Run(c.dir, func(t *testing.T) {
@@ -154,7 +153,7 @@ func TestAllowsCheckedOncePerFile(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
 		"p.go": "package p\n\n" +
-			allowPrefix + " allocflow a valid escape of an analyzer the run leaves out\n" +
+			allowPrefix + " maporder a valid escape of an analyzer the run leaves out\n" +
 			"func A() int { return 1 }\n\n" +
 			allowPrefix + " nosuchanalyzer because reasons\n" +
 			"func B() int { return 2 }\n",

@@ -220,8 +220,8 @@ func (e *errflow) usedInsideFuncLit(body *ast.BlockStmt) map[types.Object]bool {
 	return out
 }
 
-// checkSwallowingCallee is the interprocedural half (one level deep,
-// on the whole-module call graph): a call from an errflow-scoped
+// checkSwallowingCallee is the interprocedural half (one call deep,
+// over the whole module's summaries): a call from an errflow-scoped
 // package into an in-module helper whose summary says it silently
 // discards an error inside its body is reported at the call site — the
 // caller cannot handle an error it never sees. Helpers in errflow-scoped

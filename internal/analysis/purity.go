@@ -20,8 +20,7 @@ import (
 // one known hole, Tasks() returning the backing slice, is documented in
 // DESIGN.md §8.
 //
-// With a call graph available (hplint v3), the check is one level
-// interprocedural: passing a tainted value to an in-module helper whose
+// The check is also one call deep: passing a tainted value to an in-module helper whose
 // mutation summary (summary.go) says it stores through or sorts that
 // parameter is reported at the call site, even when the helper lives in
 // a package purity does not scope.

@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -15,14 +13,12 @@ import (
 // invitation to reintroduce the problem silently — so hplint reports it
 // for deletion. Liveness has two sources: the raw (pre-suppression)
 // diagnostic stream of a full-suite, full-module run, and the summary
-// layer's raw sites — allocflow/purity/errflow consume callee-side
-// allows without ever emitting a diagnostic at the allowed line, so the
-// raw AllocSitesRaw / mutation / swallowed-error positions stand in for
-// them. A doc-comment allocflow contract (Node.Contracted) is live while
-// the function or any direct callee still allocates. Detection needs the
-// whole suite over the whole module, which every cmd/hplint run and the
-// repo self-test provide: a run of fewer analyzers or packages cannot
-// distinguish "stale" from "not exercised here".
+// layer's raw sites — purity and errflow consume callee-side allows
+// without ever emitting a diagnostic at the allowed line, so the raw
+// mutation and swallowed-error positions stand in for them. Detection
+// needs the whole suite over the whole module, which every cmd/hplint
+// run and the repo self-test provide: a run of fewer analyzers or
+// packages cannot distinguish "stale" from "not exercised here".
 
 // StaleAllows reports every hplint:allow comment in pkgs that no longer
 // suppresses anything. raw must be the concatenated RAW diagnostic
@@ -41,10 +37,6 @@ func StaleAllows(suite []*Analyzer, pkgs []*Package, prog *Program, raw []Diagno
 		fired[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}] = true
 	}
 	for _, n := range prog.Nodes {
-		for _, s := range prog.AllocSitesRaw(n) {
-			p := prog.Fset.Position(s.Pos)
-			fired[allowKey{p.Filename, p.Line, "allocflow"}] = true
-		}
 		for _, s := range prog.mutationSitesRaw(n) {
 			p := prog.Fset.Position(s.pos)
 			fired[allowKey{p.Filename, p.Line, "purity"}] = true
@@ -64,7 +56,6 @@ func StaleAllows(suite []*Analyzer, pkgs []*Package, prog *Program, raw []Diagno
 				continue
 			}
 			seenFile[fname] = true
-			contracts := contractAllowPositions(pkg, prog, f)
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					rest, ok := strings.CutPrefix(c.Text, allowPrefix)
@@ -76,12 +67,6 @@ func StaleAllows(suite []*Analyzer, pkgs []*Package, prog *Program, raw []Diagno
 						continue // malformed allows get their own diagnostics
 					}
 					pos := pkg.Fset.Position(c.Pos())
-					if live, isContract := contracts[c.Pos()]; isContract {
-						if !live {
-							out = append(out, staleDiag(pos, az))
-						}
-						continue
-					}
 					if fired[allowKey{pos.Filename, pos.Line, az}] || fired[allowKey{pos.Filename, pos.Line + 1, az}] {
 						continue
 					}
@@ -106,46 +91,4 @@ func staleDiag(pos token.Position, az string) Diagnostic {
 		Analyzer: "hplint",
 		Message:  fmt.Sprintf("stale hplint:allow %s — the analyzer no longer fires at this site; delete the escape", az),
 	}
-}
-
-// contractAllowPositions maps the positions of doc-comment allocflow
-// contract allows in f to whether the contract is still live (the
-// function or a direct callee still allocates).
-func contractAllowPositions(pkg *Package, prog *Program, f *ast.File) map[token.Pos]bool {
-	out := map[token.Pos]bool{}
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil {
-			continue
-		}
-		for _, c := range fd.Doc.List {
-			rest, ok := strings.CutPrefix(c.Text, allowPrefix)
-			if !ok {
-				continue
-			}
-			az, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
-			if az != "allocflow" || strings.TrimSpace(reason) == "" {
-				continue
-			}
-			out[c.Pos()] = contractLive(prog, pkg, fd)
-		}
-	}
-	return out
-}
-
-func contractLive(prog *Program, pkg *Package, fd *ast.FuncDecl) bool {
-	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-	node := prog.NodeOf(fn)
-	if node == nil {
-		return false
-	}
-	if len(prog.AllocSitesRaw(node)) > 0 {
-		return true
-	}
-	for _, e := range node.Calls {
-		if len(prog.AllocSitesRaw(e.Callee)) > 0 || prog.MayAlloc(e.Callee) {
-			return true
-		}
-	}
-	return false
 }

@@ -170,8 +170,6 @@ func keyBefore(a, b queueKey, usePrio bool) bool {
 func (q *Queue) Len() int { return len(q.run) - q.head + len(q.pend) }
 
 // Push queues t in O(1); the order is established at the next pop.
-//
-//hplint:hotpath
 func (q *Queue) Push(t platform.Task) {
 	var slot int32
 	if n := len(q.free); n > 0 {
@@ -180,9 +178,9 @@ func (q *Queue) Push(t platform.Task) {
 		q.tasks[slot] = t
 	} else {
 		slot = int32(len(q.tasks))
-		q.tasks = append(q.tasks, t) //hplint:allow allocflow amortized task-slot growth, bounded by the live ready-task count
+		q.tasks = append(q.tasks, t)
 	}
-	q.pend = append(q.pend, queueKey{accel: t.Accel(), prio: t.Priority, seq: q.seq, slot: slot}) //hplint:allow allocflow amortized pending-batch growth, bounded by the live ready-task count
+	q.pend = append(q.pend, queueKey{accel: t.Accel(), prio: t.Priority, seq: q.seq, slot: slot})
 	q.seq++
 }
 
@@ -221,11 +219,11 @@ func (q *Queue) take(slot int32) platform.Task {
 		// At most len(tasks)-1 slots are free while a task is queued, so
 		// sizing to the task slots makes this one allocation per growth
 		// of the slots, not one per doubling of the free list.
-		free := make([]int32, len(q.free), cap(q.tasks)) //hplint:allow allocflow free-slot list sized once per task-slot growth, bounded by the live ready-task count
+		free := make([]int32, len(q.free), cap(q.tasks))
 		copy(free, q.free)
 		q.free = free
 	}
-	q.free = append(q.free, slot) //hplint:allow allocflow never grows: the list has room for every task slot after the growth above
+	q.free = append(q.free, slot)
 	return t
 }
 
@@ -241,7 +239,7 @@ func (q *Queue) flush() {
 			copy(q.run, q.run[q.head:])
 			q.run = q.run[:n]
 		} else {
-			run := make([]queueKey, n, 2*(n+k)) //hplint:allow allocflow amortized ordered-run growth, bounded by the live ready-task count
+			run := make([]queueKey, n, 2*(n+k))
 			copy(run, q.run[q.head:])
 			q.run = run
 		}
@@ -399,10 +397,10 @@ var kindOrder = [platform.NumKinds]platform.Kind{platform.GPU, platform.CPU}
 
 // listState is HeteroPrio as a sim.Run policy: the ρ queue, the
 // spoliation rule and the transfer-delay bookkeeping. Its hooks are the
-// scheduling hot path (annotated //hplint:hotpath; the allocflow analyzer
-// proves every decision round allocation-free, modulo the justified allows
-// at amortized-growth sites). Construction and setup stay in runList,
-// outside the contract.
+// scheduling hot path: beyond the amortized growth of the queue and of
+// the recorded schedule they allocate nothing, and construction and setup
+// stay in runList. TestScheduleAllocsPerCall holds a whole call to a
+// fixed allocation budget at every size.
 type listState struct {
 	k   *sim.Kernel
 	q   Queue
@@ -427,8 +425,6 @@ type listState struct {
 
 // startDuration returns the actual occupation time of a run: the
 // execution duration plus any transfer wait the worker blocks on.
-//
-//hplint:hotpath
 func (s *listState) startDuration(t platform.Task, kind platform.Kind) float64 {
 	d := s.opt.actual(t, kind)
 	if s.classReady != nil {
@@ -467,9 +463,8 @@ func victimBefore(a, b *sim.Running) bool {
 // PickVictim is the one statement of the rule. The live runtime (package
 // runtime) calls it on every attempt; the simulator keeps a victimHeap
 // instead, which FuzzVictimHeapMatchesPickVictim holds to it, so a
-// simulated attempt never scans the other class's runs.
-//
-//hplint:hotpath
+// simulated attempt never scans the other class's runs. It does not
+// allocate (TestPickVictimAllocFree).
 func PickVictim(victims []sim.Running, now float64, kind platform.Kind, eps float64) int {
 	best := -1
 	for i := range victims {
@@ -483,8 +478,6 @@ func PickVictim(victims []sim.Running, now float64, kind platform.Kind, eps floa
 
 // start begins task t on idle worker w of class kind and records the run
 // as a spoliation candidate.
-//
-//hplint:hotpath
 func (s *listState) start(w int, kind platform.Kind, t platform.Task, spoliation bool) {
 	s.k.StartTimed(w, t, s.startDuration(t, kind), spoliation)
 	// The kernel's Running.EstEnd, computed the same way.
@@ -499,8 +492,6 @@ func (s *listState) start(w int, kind platform.Kind, t platform.Task, spoliation
 
 // trySpoliate attempts a spoliation for idle worker w (queue known
 // empty). Returns true if a task was restarted on w.
-//
-//hplint:hotpath
 func (s *listState) trySpoliate(w int) bool {
 	kind := s.pl.KindOf(w)
 	victim := s.victims.pick(kind, s.k.Now, DefaultEps)
@@ -519,8 +510,6 @@ func (s *listState) trySpoliate(w int) bool {
 }
 
 // release queues a task that just became ready.
-//
-//hplint:hotpath
 func (s *listState) release(t platform.Task) {
 	s.q.Push(t)
 	if s.o != nil {
@@ -532,8 +521,6 @@ func (s *listState) release(t platform.Task) {
 // once the queue is exhausted, attempts spoliations until no more progress
 // is possible; then it records the first idle instant and the observer's
 // samples (sim.Run calls it only while tasks remain). It never fails.
-//
-//hplint:hotpath
 func (s *listState) assign() error {
 	for {
 		changed := false
@@ -576,8 +563,6 @@ func (s *listState) assign() error {
 
 // complete retires one finished run: completion event and transfer-delay
 // bookkeeping for its successors.
-//
-//hplint:hotpath
 func (s *listState) complete(run sim.Running) {
 	kind := s.pl.KindOf(run.Worker)
 	if !s.opt.DisableSpoliation {

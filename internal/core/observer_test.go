@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/obs"
@@ -123,29 +122,30 @@ func checkCounts(t *testing.T, c *countingObserver, tasks, spoliations int) {
 	}
 }
 
-// TestObserverNopZeroAlloc is the benchmark guard in test form: scheduling
-// with a no-op Observer must allocate exactly as much as with the hooks
-// disabled — the emission sites pass only values and are branch-guarded.
+// TestObserverNopZeroAlloc is the benchmark guard in test form: on each
+// of HeteroPrio's entry points, scheduling with a no-op Observer must
+// allocate exactly as much as with the hooks disabled — the emission
+// sites pass only values and are branch-guarded.
 func TestObserverNopZeroAlloc(t *testing.T) {
-	// A garbage collection during the measurement wakes runtime goroutines
-	// (the unique package's map cleanup) that allocate, and AllocsPerRun
-	// counts every goroutine's allocations; with collection off the counts
-	// are the scheduler's alone.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	pl := platform.NewPlatform(20, 4)
-	rng := rand.New(rand.NewSource(3))
-	in := workloads.UniformInstance(1000, 1, 100, 0.2, 40, rng)
-	base := testing.AllocsPerRun(5, func() {
-		if _, err := ScheduleIndependent(in, pl, Options{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	nop := testing.AllocsPerRun(5, func() {
-		if _, err := ScheduleIndependent(in, pl, Options{Observer: obs.Nop{}}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if nop > base {
-		t.Errorf("no-op observer allocates: %v allocs/run vs %v disabled", nop, base)
+	in := workloads.UniformInstance(1000, 1, 100, 0.2, 40, rand.New(rand.NewSource(3)))
+	g := workloads.Cholesky(12)
+	tasks := arrivals(1000)
+	calls := []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"independent", func(o Options) error { _, err := ScheduleIndependent(in, pl, o); return err }},
+		{"dag", func(o Options) error { _, err := ScheduleDAG(g, pl, o); return err }},
+		{"online", func(o Options) error { _, err := ScheduleOnline(tasks, pl, o); return err }},
+	}
+	for _, c := range calls {
+		t.Run(c.name, func(t *testing.T) {
+			base := allocsPerCall(t, func() error { return c.run(Options{}) })
+			nop := allocsPerCall(t, func() error { return c.run(Options{Observer: obs.Nop{}}) })
+			if nop > base {
+				t.Errorf("no-op observer allocates: %v allocs/run vs %v disabled", nop, base)
+			}
+		})
 	}
 }

@@ -85,8 +85,6 @@ func newVictimHeap(pl platform.Platform) victimHeap {
 
 // start records t, just started on worker w of class kind with expected
 // completion estEnd, in kind's pending batch.
-//
-//hplint:hotpath
 func (v *victimHeap) start(w int, kind platform.Kind, t platform.Task, estEnd float64) {
 	c := &v[kind]
 	i := c.n + c.pend
@@ -98,8 +96,6 @@ func (v *victimHeap) start(w int, kind platform.Kind, t platform.Task, estEnd fl
 // remove forgets the run on worker w of class kind, which completed or
 // was aborted. A run in the heap leaves it as in any indexed heap; one in
 // the pending batch is replaced by the batch's last key.
-//
-//hplint:hotpath
 func (v *victimHeap) remove(w int, kind platform.Kind) {
 	c := &v[kind]
 	i := *c.pos(w)
@@ -120,8 +116,6 @@ func (v *victimHeap) remove(w int, kind platform.Kind) {
 // victimBefore order that the idle worker would finish more than eps
 // before its EstEnd. It sifts the pending batch into the heap, then drops
 // the tops that fail the test.
-//
-//hplint:hotpath
 func (v *victimHeap) pick(kind platform.Kind, now, eps float64) int {
 	c := &v[kind.Other()]
 	for ; c.pend > 0; c.pend-- {

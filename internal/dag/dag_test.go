@@ -3,6 +3,7 @@ package dag
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -251,6 +252,32 @@ func TestReadyTracker(t *testing.T) {
 	}
 	if !rt.IsCompleted(3) {
 		t.Error("IsCompleted(3) should be true")
+	}
+}
+
+// TestDrainSharedAllocFree: the simulator drains the newly ready tasks
+// after every completion, so a pass over a whole graph allocates only
+// what NewReadyTracker does, whatever the graph's length.
+func TestDrainSharedAllocFree(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pass := func(g *Graph) float64 {
+		order := make([]int, 0, g.Len())
+		n := testing.AllocsPerRun(3, func() {
+			rt := NewReadyTracker(g)
+			order = append(order[:0], rt.DrainShared()...)
+			for i := 0; i < len(order); i++ {
+				rt.Complete(order[i])
+				order = append(order, rt.DrainShared()...)
+			}
+		})
+		if len(order) != g.Len() {
+			t.Fatalf("drained %d of %d tasks", len(order), g.Len())
+		}
+		return n
+	}
+	task := platform.Task{CPUTime: 1, GPUTime: 1}
+	if short, long := pass(Chain(10, task)), pass(Chain(10000, task)); long != short {
+		t.Errorf("a pass over 10,000 tasks allocates %v times, over 10 tasks %v", long, short)
 	}
 }
 

@@ -275,9 +275,8 @@ func One[T any](ctx context.Context, p *Pool, fn func(ctx context.Context) (T, e
 // maintains the pool metrics. The queue-depth gauge counts the cell until
 // it starts (or is abandoned to cancellation). When ctx carries a trace
 // span, the cell gets a child span (covering slot wait + execution)
-// annotated with its index and derived seed.
-//
-//hplint:hotpath
+// annotated with its index and derived seed. TestRunCellAllocFree checks
+// that this bookkeeping allocates nothing, traced or not.
 func runCell[T any](ctx context.Context, p *Pool, c Cell, out *T, fn func(ctx context.Context, c Cell) (T, error)) error {
 	sp := obs.SpanFromContext(ctx)
 	var csp *obs.Span
@@ -313,8 +312,6 @@ func runCell[T any](ctx context.Context, p *Pool, c Cell, out *T, fn func(ctx co
 }
 
 // capture invokes fn, converting a panic into a *PanicError.
-//
-//hplint:allow allocflow panic recovery is off the steady-state path; the PanicError and stack snapshot are built only while the run is already dying
 func capture[T any](ctx context.Context, c Cell, out *T, fn func(ctx context.Context, c Cell) (T, error)) (err error) {
 	defer func() {
 		if v := recover(); v != nil {

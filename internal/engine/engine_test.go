@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -249,4 +250,36 @@ func TestMapRaceStress(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRunCellAllocFree: a cell's pool bookkeeping (its slot, the gauges
+// and the panic capture) allocates nothing, traced or not, so a sweep's
+// per-cell cost is the cell's own work. A traced cell's span comes from
+// the tracer's pool; the check runs in a long-lived trace's steady state,
+// as obs.TestSpanCycleAllocFree does.
+func TestRunCellAllocFree(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := NewPool(1, obs.NewRegistry())
+	fn := func(_ context.Context, c Cell) (int, error) { return c.Index, nil }
+	root := obs.NewTracer(1).StartTrace("sweep")
+	for i := 0; i < 5000; i++ {
+		root.StartChild("warm").End()
+	}
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"untraced", context.Background()},
+		{"traced", obs.ContextWithSpan(context.Background(), root)},
+	} {
+		var out int
+		var err error
+		n := testing.AllocsPerRun(1000, func() { err = runCell(c.ctx, p, Cell{Index: 12345, Seed: 5}, &out, fn) })
+		if err != nil || out != 12345 {
+			t.Fatalf("%s: runCell = %v, out %d", c.name, err, out)
+		}
+		if n != 0 {
+			t.Errorf("%s: runCell allocates %v times per cell", c.name, n)
+		}
+	}
 }

@@ -95,9 +95,8 @@ func clampHDR(v int64) int64 {
 	return v
 }
 
-// Record adds one observation.
-//
-//hplint:hotpath
+// Record adds one observation without allocating
+// (TestHDRRecordAllocFree).
 func (h *HDRHistogram) Record(v int64) {
 	v = clampHDR(v)
 	h.counts[hdrBucketIndex(v)].Add(1)
@@ -120,9 +119,8 @@ func (h *HDRHistogram) Record(v int64) {
 // RecordExemplar adds one observation and, when id is non-zero, installs
 // it as the bucket's exemplar. Later exemplars overwrite earlier ones, so
 // each bucket points at a recent representative — following the exemplar
-// of a tail bucket leads to a live trace of a slow request.
-//
-//hplint:hotpath
+// of a tail bucket leads to a live trace of a slow request. Like Record,
+// it does not allocate.
 func (h *HDRHistogram) RecordExemplar(v int64, id uint64) {
 	h.Record(v)
 	if id == 0 {

@@ -8,45 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// record counts events for Multi/fan-out tests.
-type record struct{ queued, started, spoliated, completed, idle, depth int }
-
-func (r *record) TaskQueued(float64, platform.Task, int) { r.queued++ }
-func (r *record) TaskStarted(float64, int, platform.Kind, platform.Task, float64, bool) {
-	r.started++
-}
-func (r *record) TaskSpoliated(float64, int, int, platform.Task, float64) { r.spoliated++ }
-func (r *record) TaskCompleted(float64, int, platform.Kind, platform.Task, float64) {
-	r.completed++
-}
-func (r *record) WorkerIdle(float64, int, platform.Kind) { r.idle++ }
-func (r *record) QueueDepthSample(float64, int)          { r.depth++ }
-
-func TestMulti(t *testing.T) {
-	if Multi() != nil {
-		t.Error("Multi() should be nil")
-	}
-	if Multi(nil, nil) != nil {
-		t.Error("Multi(nil, nil) should be nil")
-	}
-	a, b := &record{}, &record{}
-	if got := Multi(a, nil); got != Observer(a) {
-		t.Error("Multi with one observer should return it directly")
-	}
-	m := Multi(a, b)
-	m.TaskQueued(0, platform.Task{}, 1)
-	m.TaskStarted(0, 0, platform.CPU, platform.Task{}, 1, false)
-	m.TaskSpoliated(1, 0, 1, platform.Task{}, 1)
-	m.TaskCompleted(2, 0, platform.CPU, platform.Task{}, 0)
-	m.WorkerIdle(2, 1, platform.GPU)
-	m.QueueDepthSample(2, 0)
-	for _, r := range []*record{a, b} {
-		if r.queued != 1 || r.started != 1 || r.spoliated != 1 || r.completed != 1 || r.idle != 1 || r.depth != 1 {
-			t.Errorf("fan-out missed events: %+v", *r)
-		}
-	}
-}
-
 func TestSchedulerMetricsObserver(t *testing.T) {
 	r := NewRegistry()
 	m := NewSchedulerMetrics(r)

@@ -62,62 +62,3 @@ func (Nop) TaskSpoliated(float64, int, int, platform.Task, float64)             
 func (Nop) TaskCompleted(float64, int, platform.Kind, platform.Task, float64)     {}
 func (Nop) WorkerIdle(float64, int, platform.Kind)                                {}
 func (Nop) QueueDepthSample(float64, int)                                         {}
-
-// multi fans events out to several observers in order.
-type multi []Observer
-
-// Multi returns an Observer that forwards every event to each of obs in
-// order. Nil entries are skipped; Multi() returns nil so the result can be
-// stored directly in core.Options.Observer without defeating the nil
-// fast path.
-func Multi(obs ...Observer) Observer {
-	var out multi
-	for _, o := range obs {
-		if o != nil {
-			out = append(out, o)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}
-
-func (m multi) TaskQueued(now float64, t platform.Task, depth int) {
-	for _, o := range m {
-		o.TaskQueued(now, t, depth)
-	}
-}
-
-func (m multi) TaskStarted(now float64, worker int, kind platform.Kind, t platform.Task, estEnd float64, spoliation bool) {
-	for _, o := range m {
-		o.TaskStarted(now, worker, kind, t, estEnd, spoliation)
-	}
-}
-
-func (m multi) TaskSpoliated(now float64, victim, thief int, t platform.Task, wasted float64) {
-	for _, o := range m {
-		o.TaskSpoliated(now, victim, thief, t, wasted)
-	}
-}
-
-func (m multi) TaskCompleted(now float64, worker int, kind platform.Kind, t platform.Task, start float64) {
-	for _, o := range m {
-		o.TaskCompleted(now, worker, kind, t, start)
-	}
-}
-
-func (m multi) WorkerIdle(now float64, worker int, kind platform.Kind) {
-	for _, o := range m {
-		o.WorkerIdle(now, worker, kind)
-	}
-}
-
-func (m multi) QueueDepthSample(now float64, depth int) {
-	for _, o := range m {
-		o.QueueDepthSample(now, depth)
-	}
-}

@@ -74,7 +74,7 @@ func (m *SchedulerMetrics) TaskQueued(now float64, t platform.Task, depth int) {
 	m.TasksQueued.Inc()
 	m.QueueDepth.Set(float64(depth))
 	m.mu.Lock()
-	m.queuedAt[t.ID] = now //hplint:allow allocflow queue-wait bookkeeping, bounded by tasks concurrently in the ready queue
+	m.queuedAt[t.ID] = now
 	m.mu.Unlock()
 }
 

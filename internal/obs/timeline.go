@@ -71,7 +71,7 @@ func NewTimeline() *Timeline { return &Timeline{} }
 
 func (tl *Timeline) add(e Event) {
 	tl.mu.Lock()
-	tl.events = append(tl.events, e) //hplint:allow allocflow the Timeline is a recording observer; the growing event buffer is its product
+	tl.events = append(tl.events, e)
 	tl.mu.Unlock()
 }
 

@@ -461,10 +461,9 @@ func TestRunObserver(t *testing.T) {
 	g.Add(sleepTask("a", 200*time.Millisecond, 5*time.Millisecond))
 	g.Add(sleepTask("b", 200*time.Millisecond, 5*time.Millisecond))
 	so := obs.NewSchedulerMetrics(obs.NewRegistry())
-	tl := obs.NewTimeline()
 	rep, err := Run(g, Config{
 		CPUWorkers: 1, GPUWorkers: 1,
-		Observer: obs.Multi(so, tl),
+		Observer: so,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -477,9 +476,5 @@ func TestRunObserver(t *testing.T) {
 	}
 	if got := so.TasksQueued.Value(); got < 2 {
 		t.Errorf("observer queued = %v, want >= 2", got)
-	}
-	// The timeline bridge sees the same runs the trace records.
-	if tl.Len() == 0 {
-		t.Fatal("timeline observed no events")
 	}
 }

@@ -105,8 +105,6 @@ func (k *Kernel) RunOf(w int) Running {
 //
 // walks a class's idle workers in increasing index order, skipping busy
 // workers 64 at a time.
-//
-//hplint:hotpath
 func (k *Kernel) NextIdle(kind platform.Kind, from int) int {
 	lo, hi := k.P.KindRange(kind)
 	from = max(from, lo)
@@ -157,7 +155,6 @@ func (k *Kernel) StartTimed(w int, t platform.Task, actual float64, spoliation b
 		k.siftUp(k.nHeap - 1)
 	}
 	k.entry[w] = len(k.sched.Entries)
-	//hplint:allow allocflow one trace entry per run attempt; the recorded schedule is the simulation's product
 	k.sched.Entries = append(k.sched.Entries, Entry{
 		TaskID:     t.ID,
 		Worker:     w,

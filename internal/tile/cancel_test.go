@@ -48,53 +48,60 @@ type kernelCase struct {
 // completed adapts a kernel without an error result to kernelCase.run.
 func completed(ok bool) (bool, error) { return ok, nil }
 
-// checkFlagContract holds each kernel to the flag contract: with a nil flag
-// it completes, and with a flag cancelled before the call it abandons the
-// run and reports false without an error.
-func checkFlagContract(t *testing.T, kernels []kernelCase) {
+// flagSizes are the tile sizes the flag contract is checked at: within,
+// at and just past one block of rows (blockDim = 32), and two blocks.
+var flagSizes = []int{16, 32, 33, 64}
+
+// checkFlagContract holds the kernels that kernels(b) builds to the flag
+// contract at every size of flagSizes: with a nil flag each completes,
+// and with a flag cancelled before the call it abandons the run and
+// reports false without an error.
+func checkFlagContract(t *testing.T, kernels func(b int) []kernelCase) {
 	t.Helper()
-	for _, k := range kernels {
-		if ok, err := k.run(nil); !ok || err != nil {
-			t.Errorf("%s with a nil flag: completed=%v err=%v, want a completed run", k.name, ok, err)
-		}
-		flag := &cancel.Flag{}
-		flag.Cancel()
-		if ok, err := k.run(flag); ok || err != nil {
-			t.Errorf("%s with a cancelled flag: completed=%v err=%v, want an abandoned run", k.name, ok, err)
+	for _, b := range flagSizes {
+		for _, k := range kernels(b) {
+			if ok, err := k.run(nil); !ok || err != nil {
+				t.Errorf("%s at b = %d with a nil flag: completed=%v err=%v, want a completed run", k.name, b, ok, err)
+			}
+			flag := &cancel.Flag{}
+			flag.Cancel()
+			if ok, err := k.run(flag); ok || err != nil {
+				t.Errorf("%s at b = %d with a cancelled flag: completed=%v err=%v, want an abandoned run", k.name, b, ok, err)
+			}
 		}
 	}
 }
 
 // TestCancelledKernelsAbort holds the Cholesky and QR kernels (11 of the
-// package's 16) to the flag contract at b = 64; TestLUCancelledAbort holds
-// the other five.
+// package's 16) to the flag contract; TestLUCancelledAbort holds the
+// other five.
 func TestCancelledKernelsAbort(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	const b = 64
-	x, y := randTileN(rng, b), randTileN(rng, b)
-	lower := lowerTileN(rng, b)
-	// QR factors: v and t1 from GEQRT, r/bot and t2 from TSQRT.
-	v, t1 := randTileN(rng, b), make([]float64, b*b)
-	GEQRT(v, t1, b, nil)
-	r, bot, t2 := append([]float64(nil), v...), randTileN(rng, b), make([]float64, b*b)
-	TSQRT(r, bot, t2, b, nil)
-	fresh := func() []float64 { return randTileN(rng, b) }
-	clone := func(s []float64) []float64 { return append([]float64(nil), s...) }
-
-	checkFlagContract(t, []kernelCase{
-		{"POTRF", func(f *cancel.Flag) (bool, error) { return POTRF(spdTileN(rng, b), b, f) }},
-		{"TRSM", func(f *cancel.Flag) (bool, error) { return completed(TRSM(fresh(), lower, b, f)) }},
-		{"TRSMFast", func(f *cancel.Flag) (bool, error) { return completed(TRSMFast(fresh(), lower, b, f)) }},
-		{"SYRK", func(f *cancel.Flag) (bool, error) { return completed(SYRK(fresh(), x, b, f)) }},
-		{"SYRKFast", func(f *cancel.Flag) (bool, error) { return completed(SYRKFast(fresh(), x, b, f)) }},
-		{"GEMM", func(f *cancel.Flag) (bool, error) { return completed(GEMM(fresh(), x, y, b, f)) }},
-		{"GEMMFast", func(f *cancel.Flag) (bool, error) { return completed(GEMMFast(fresh(), x, y, b, f)) }},
-		{"GEQRT", func(f *cancel.Flag) (bool, error) { return completed(GEQRT(fresh(), make([]float64, b*b), b, f)) }},
-		{"LARFB", func(f *cancel.Flag) (bool, error) { return completed(LARFB(fresh(), v, t1, b, f)) }},
-		{"TSQRT", func(f *cancel.Flag) (bool, error) {
-			return completed(TSQRT(clone(v), fresh(), make([]float64, b*b), b, f))
-		}},
-		{"TSMQR", func(f *cancel.Flag) (bool, error) { return completed(TSMQR(fresh(), fresh(), bot, t2, b, f)) }},
+	checkFlagContract(t, func(b int) []kernelCase {
+		x, y := randTileN(rng, b), randTileN(rng, b)
+		lower := lowerTileN(rng, b)
+		// QR factors: v and t1 from GEQRT, r/bot and t2 from TSQRT.
+		v, t1 := randTileN(rng, b), make([]float64, b*b)
+		GEQRT(v, t1, b, nil)
+		r, bot, t2 := append([]float64(nil), v...), randTileN(rng, b), make([]float64, b*b)
+		TSQRT(r, bot, t2, b, nil)
+		fresh := func() []float64 { return randTileN(rng, b) }
+		clone := func(s []float64) []float64 { return append([]float64(nil), s...) }
+		return []kernelCase{
+			{"POTRF", func(f *cancel.Flag) (bool, error) { return POTRF(spdTileN(rng, b), b, f) }},
+			{"TRSM", func(f *cancel.Flag) (bool, error) { return completed(TRSM(fresh(), lower, b, f)) }},
+			{"TRSMFast", func(f *cancel.Flag) (bool, error) { return completed(TRSMFast(fresh(), lower, b, f)) }},
+			{"SYRK", func(f *cancel.Flag) (bool, error) { return completed(SYRK(fresh(), x, b, f)) }},
+			{"SYRKFast", func(f *cancel.Flag) (bool, error) { return completed(SYRKFast(fresh(), x, b, f)) }},
+			{"GEMM", func(f *cancel.Flag) (bool, error) { return completed(GEMM(fresh(), x, y, b, f)) }},
+			{"GEMMFast", func(f *cancel.Flag) (bool, error) { return completed(GEMMFast(fresh(), x, y, b, f)) }},
+			{"GEQRT", func(f *cancel.Flag) (bool, error) { return completed(GEQRT(fresh(), make([]float64, b*b), b, f)) }},
+			{"LARFB", func(f *cancel.Flag) (bool, error) { return completed(LARFB(fresh(), v, t1, b, f)) }},
+			{"TSQRT", func(f *cancel.Flag) (bool, error) {
+				return completed(TSQRT(clone(v), fresh(), make([]float64, b*b), b, f))
+			}},
+			{"TSMQR", func(f *cancel.Flag) (bool, error) { return completed(TSMQR(fresh(), fresh(), bot, t2, b, f)) }},
+		}
 	})
 }
 

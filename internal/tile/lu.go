@@ -46,9 +46,9 @@ func GETRF(a []float64, b int, flag *cancel.Flag) (bool, error) {
 
 // TRSMLower solves L * X = A in place (L unit lower triangular from a
 // GETRF'd tile; only its strictly lower part is read). It polls flag once
-// per block of rows.
+// per block of rows, from the first; row 0 is left as it is.
 func TRSMLower(a, l []float64, b int, flag *cancel.Flag) bool {
-	for i := 1; i < b; i++ {
+	for i := 0; i < b; i++ {
 		if i%blockDim == 0 && flag.Cancelled() {
 			return false
 		}

@@ -162,23 +162,23 @@ func TestLUTiledProperty(t *testing.T) {
 	}
 }
 
-// TestLUCancelledAbort holds the five LU kernels to the flag contract at
-// b = 64 (see checkFlagContract).
+// TestLUCancelledAbort holds the five LU kernels to the flag contract (see
+// checkFlagContract).
 func TestLUCancelledAbort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const b = 64
-	lu := RandomDiagDominant(b, rng).Data
-	if _, err := GETRF(lu, b, nil); err != nil {
-		t.Fatal(err)
-	}
-	x, y := randTileN(rng, b), randTileN(rng, b)
-	fresh := func() []float64 { return randTileN(rng, b) }
-
-	checkFlagContract(t, []kernelCase{
-		{"GETRF", func(f *cancel.Flag) (bool, error) { return GETRF(RandomDiagDominant(b, rng).Data, b, f) }},
-		{"TRSMLower", func(f *cancel.Flag) (bool, error) { return completed(TRSMLower(fresh(), lu, b, f)) }},
-		{"TRSMUpper", func(f *cancel.Flag) (bool, error) { return completed(TRSMUpper(fresh(), lu, b, f)) }},
-		{"GEMMNT", func(f *cancel.Flag) (bool, error) { return completed(GEMMNT(fresh(), x, y, b, f)) }},
-		{"GEMMNTFast", func(f *cancel.Flag) (bool, error) { return completed(GEMMNTFast(fresh(), x, y, b, f)) }},
+	checkFlagContract(t, func(b int) []kernelCase {
+		lu := RandomDiagDominant(b, rng).Data
+		if _, err := GETRF(lu, b, nil); err != nil {
+			t.Fatal(err)
+		}
+		x, y := randTileN(rng, b), randTileN(rng, b)
+		fresh := func() []float64 { return randTileN(rng, b) }
+		return []kernelCase{
+			{"GETRF", func(f *cancel.Flag) (bool, error) { return GETRF(RandomDiagDominant(b, rng).Data, b, f) }},
+			{"TRSMLower", func(f *cancel.Flag) (bool, error) { return completed(TRSMLower(fresh(), lu, b, f)) }},
+			{"TRSMUpper", func(f *cancel.Flag) (bool, error) { return completed(TRSMUpper(fresh(), lu, b, f)) }},
+			{"GEMMNT", func(f *cancel.Flag) (bool, error) { return completed(GEMMNT(fresh(), x, y, b, f)) }},
+			{"GEMMNTFast", func(f *cancel.Flag) (bool, error) { return completed(GEMMNTFast(fresh(), x, y, b, f)) }},
+		}
 	})
 }

@@ -234,18 +234,24 @@ func Factorizations() []Factorization {
 	return []Factorization{FactCholesky, FactQR, FactLU}
 }
 
-// Build returns the task graph of the factorization with N tiles.
+// Build returns the task graph of the factorization with N tiles. An
+// unknown factorization or N < 1 is an error.
 func Build(f Factorization, N int) (*dag.Graph, error) {
+	var build func(int) *dag.Graph
 	switch f {
 	case FactCholesky:
-		return Cholesky(N), nil
+		build = Cholesky
 	case FactQR:
-		return QR(N), nil
+		build = QR
 	case FactLU:
-		return LU(N), nil
+		build = LU
 	default:
 		return nil, fmt.Errorf("workloads: unknown factorization %q", f)
 	}
+	if N < 1 {
+		return nil, fmt.Errorf("workloads: %s needs at least one tile, got N = %d", f, N)
+	}
+	return build(N), nil
 }
 
 // IndependentTasks returns the tasks of the factorization as an

@@ -157,12 +157,25 @@ func TestFactorizationChainsAreSequential(t *testing.T) {
 	}
 }
 
+// TestBuildUnknown: Build and IndependentTasks reject an unknown
+// factorization, and a tile count below one, with an error rather than a
+// panic in the generators.
 func TestBuildUnknown(t *testing.T) {
 	if _, err := Build(Factorization("nope"), 4); err == nil {
 		t.Error("unknown factorization accepted")
 	}
 	if _, err := IndependentTasks(Factorization("nope"), 4); err == nil {
 		t.Error("unknown factorization accepted")
+	}
+	for _, f := range Factorizations() {
+		for _, N := range []int{0, -1} {
+			if g, err := Build(f, N); err == nil {
+				t.Errorf("Build(%s, %d) = %d tasks, want an error", f, N, g.Len())
+			}
+			if in, err := IndependentTasks(f, N); err == nil {
+				t.Errorf("IndependentTasks(%s, %d) = %d tasks, want an error", f, N, len(in))
+			}
+		}
 	}
 }
 
