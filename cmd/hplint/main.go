@@ -1,14 +1,14 @@
 // Command hplint runs the repository's static-analysis suite
 // (internal/analysis) over every package in the module and exits non-zero
 // on any diagnostic. It is the machine check behind the invariants the
-// paper's guarantees rest on. Its nine analyzers check deterministic
+// paper's guarantees rest on. Its eight analyzers check deterministic
 // scheduling code (simdeterminism), float comparison hygiene (floateq),
 // the zero-alloc observer and span guard contract (obsguard), ordered map
 // iteration (maporder) and sleep-free tests (sleepsync); and,
-// flow-sensitively, mutex discipline (lockcheck), scheduler input purity
-// (purity), error handling along every path (errflow) and span End()
-// coverage on every path (spanend). DESIGN.md §8 keeps a ledger of what
-// each one costs and has caught.
+// flow-sensitively, mutex discipline (lockcheck), error handling along
+// every path (errflow) and span End() coverage on every path (spanend).
+// Each analyzer checks one package at a time. DESIGN.md §8 keeps a
+// ledger of what each one costs and has caught.
 //
 // Usage:
 //
@@ -82,18 +82,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	prog := analysis.BuildProgram(pkgs)
 	// Collect everything before printing: findings are globally sorted by
 	// (file, line, column, analyzer) so CI annotation diffs and golden
 	// comparisons are stable across load order. The raw (pre-suppression)
 	// stream is kept to report stale hplint:allow escapes.
 	var diags, rawAll []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		kept, raw := analysis.RunAnalyzersProgramRaw(suite, pkg, prog)
+		kept, raw := analysis.RunAnalyzersRaw(suite, pkg)
 		diags = append(diags, kept...)
 		rawAll = append(rawAll, raw...)
 	}
-	diags = append(diags, analysis.StaleAllows(suite, pkgs, prog, rawAll)...)
+	diags = append(diags, analysis.StaleAllows(suite, pkgs, rawAll)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

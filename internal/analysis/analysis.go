@@ -14,20 +14,18 @@
 //     without a subsequent sort;
 //   - sleepsync: no time.Sleep-based synchronization in tests;
 //
-// four flow-sensitive analyzers built on the package's CFG +
-// forward-dataflow engine (cfg.go, dataflow.go):
+// three flow-sensitive analyzers built on the package's CFG (cfg.go),
+// lockcheck also on its forward-dataflow engine (dataflow.go):
 //
 //   - lockcheck: mutex discipline — fields declared after a mutex in
 //     their struct are accessed only with it held;
-//   - purity: schedulers treat Platform, task slices, and DAGs as
-//     read-only;
-//   - errflow: no dropped or shadowed errors along any path in the
-//     binaries and the live executor;
+//   - errflow: no dropped or shadowed errors along any path, in every
+//     package of the module;
 //   - spanend: every span the serving layer starts reaches End() on every
 //     path.
 //
-// purity and errflow also read one call deep into the module's other
-// packages, through the per-function summaries of summary.go.
+// Every analyzer checks one package at a time; none reads another
+// package's function bodies.
 //
 // A diagnostic can be suppressed with a trailing (or immediately
 // preceding) comment of the form
@@ -75,10 +73,6 @@ type Pass struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Prog holds the whole module's function summaries (summary.go),
-	// which the call-site halves of purity and errflow read. It is never
-	// nil.
-	Prog *Program
 
 	diags *[]Diagnostic
 }
@@ -104,11 +98,10 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// All returns the full suite of nine analyzers in stable order: the five
-// syntactic analyzers, then the four flow-sensitive analyzers built on
-// the CFG/dataflow engine (cfg.go, dataflow.go). DESIGN.md §8 keeps a
-// ledger of what each one costs, has caught, and catches that no test
-// does.
+// All returns the full suite of eight analyzers in stable order: the five
+// syntactic analyzers, then the three flow-sensitive analyzers built on
+// the CFG (cfg.go). DESIGN.md §8 keeps a ledger of what each one costs,
+// has caught, and catches that no test does.
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism,
@@ -117,7 +110,6 @@ func All() []*Analyzer {
 		MapOrder,
 		SleepSync,
 		LockCheck,
-		Purity,
 		ErrFlow,
 		SpanEnd,
 	}
@@ -189,26 +181,24 @@ func isTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
 }
 
-// RunAnalyzersProgram runs every analyzer in suite over pkg with the
-// whole-module summaries prog available to the call-site checks, and
-// returns the surviving (non-suppressed) diagnostics sorted by position.
-// prog must be non-nil: BuildProgram over the loaded module.
-func RunAnalyzersProgram(suite []*Analyzer, pkg *Package, prog *Program) []Diagnostic {
-	kept, _ := RunAnalyzersProgramRaw(suite, pkg, prog)
+// RunAnalyzers runs every analyzer in suite over pkg and returns the
+// surviving (non-suppressed) diagnostics sorted by position.
+func RunAnalyzers(suite []*Analyzer, pkg *Package) []Diagnostic {
+	kept, _ := RunAnalyzersRaw(suite, pkg)
 	return kept
 }
 
-// RunAnalyzersProgramRaw is RunAnalyzersProgram plus the raw diagnostic
-// stream before allow-suppression. The raw stream is what the stale-
-// allow detector (stale.go) consumes: an allow is live exactly when a
-// raw diagnostic fired on one of its lines.
+// RunAnalyzersRaw is RunAnalyzers plus the raw diagnostic stream before
+// allow-suppression. The raw stream is what the stale-allow detector
+// (stale.go) consumes: an allow is live exactly when a raw diagnostic
+// fired on one of its lines.
 //
 // An escape may name any analyzer of All(), whichever subset suite is,
 // so a partial run does not flag the other analyzers' escapes. A test
 // unit owns only its _test.go files — its other files repeat the base
 // unit's — so each file's escapes are checked, and its findings
 // reported, once.
-func RunAnalyzersProgramRaw(suite []*Analyzer, pkg *Package, prog *Program) (kept, raw []Diagnostic) {
+func RunAnalyzersRaw(suite []*Analyzer, pkg *Package) (kept, raw []Diagnostic) {
 	known := make(map[string]bool)
 	for _, a := range All() {
 		known[a.Name] = true
@@ -255,7 +245,6 @@ func RunAnalyzersProgramRaw(suite []*Analyzer, pkg *Package, prog *Program) (kep
 			Files:    files,
 			Types:    pkg.Types,
 			Info:     pkg.Info,
-			Prog:     prog,
 			diags:    &diags,
 		}
 		a.Run(pass)

@@ -59,28 +59,15 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"maporder", "internal/sched", MapOrder},
 		{"sleepsync", "internal/sleepfixture", SleepSync},
 		{"lockcheck", "internal/obs", LockCheck},
-		{"purity", "internal/sched", Purity},
 		{"errflow", "internal/runtime", ErrFlow},
 		{"spanend", "internal/serve", SpanEnd},
 	}
 	for _, c := range cases {
 		t.Run(c.dir, func(t *testing.T) {
-			l, err := NewLoader(".")
-			if err != nil {
-				t.Fatal(err)
-			}
 			dir := filepath.Join("testdata", c.dir)
-			pkgs, err := l.LoadDir(dir, c.rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(pkgs) == 0 {
-				t.Fatalf("no packages loaded from %s", dir)
-			}
-			prog := BuildProgram(pkgs)
 			var got []Diagnostic
-			for _, p := range pkgs {
-				got = append(got, RunAnalyzersProgram([]*Analyzer{c.az}, p, prog)...)
+			for _, p := range loadFixture(t, dir, c.rel) {
+				got = append(got, RunAnalyzers([]*Analyzer{c.az}, p)...)
 			}
 			wants := collectWants(t, dir)
 			for _, d := range got {
@@ -167,13 +154,13 @@ func sum() int { return A() + B() }
 			t.Fatal(err)
 		}
 	}
-	pkgs, prog := loadFixtureProgram(t, dir, "internal/bounds")
+	pkgs := loadFixture(t, dir, "internal/bounds")
 	if len(pkgs) != 2 {
 		t.Fatalf("loaded %d units, want the base and the in-package test unit", len(pkgs))
 	}
 	var got []Diagnostic
 	for _, p := range pkgs {
-		got = append(got, RunAnalyzersProgram([]*Analyzer{FloatEq}, p, prog)...)
+		got = append(got, RunAnalyzers([]*Analyzer{FloatEq}, p)...)
 	}
 	if len(got) != 1 || got[0].Pos.Line != 6 || !strings.Contains(got[0].Message, `unknown analyzer "nosuchanalyzer"`) {
 		t.Errorf("got %v, want one unknown-analyzer diagnostic at p.go:6", got)

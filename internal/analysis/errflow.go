@@ -4,28 +4,23 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 )
 
-// ErrFlow flags errors that leak along control-flow paths in the
-// binaries and the live executor: (1) an error assigned to a variable
-// that, on some path, is overwritten or falls off the end of the
-// function without ever being read — including the shadowed-`err` form
-// where an inner `:=` hides the outer variable; (2) a call discarding an
-// error result in statement position. Explicit discards (`_ = f()`) are
-// intentional and stay silent, as do fmt's printers and the never-fail
-// writers (strings.Builder, bytes.Buffer).
+// ErrFlow flags errors that leak along control-flow paths, in every
+// package of the module: (1) an error assigned to a variable that, on
+// some path, is overwritten or falls off the end of the function without
+// ever being read — including the shadowed-`err` form where an inner `:=`
+// hides the outer variable; (2) a call discarding an error result in
+// statement position. Explicit discards (`_ = f()`) are intentional and
+// stay silent, as do fmt's printers and the never-fail writers
+// (strings.Builder, bytes.Buffer). A helper that discards an error is
+// reported in its own body, not at its callers.
 var ErrFlow = &Analyzer{
 	Name:      "errflow",
 	Doc:       "no dropped or shadowed errors along any path",
-	Packages:  errflowPackages,
 	SkipTests: true,
 	Run:       runErrFlow,
 }
-
-// errflowPackages are the packages errflow analyzes directly; calls from
-// them into helpers elsewhere go through the swallowed-error summaries.
-var errflowPackages = []string{"cmd/benchgate", "cmd/experiments", "cmd/hplint", "cmd/hpsched", "cmd/hpserve", "internal/runtime"}
 
 // isErrorType reports whether t is exactly the error interface.
 func isErrorType(t types.Type) bool {
@@ -166,10 +161,9 @@ func shadowsOuterError(obj types.Object) bool {
 	return ok && isErrorType(v.Type())
 }
 
-// ignoredErrorCallInfo reports whether a statement-position call
-// discarding its error is acceptable: fmt printers and the never-fail
-// writers. It is shared with the swallowed-error summaries (summary.go).
-func ignoredErrorCallInfo(info *types.Info, call *ast.CallExpr) bool {
+// ignoredErrorCall reports whether a statement-position call discarding
+// its error is acceptable: fmt printers and the never-fail writers.
+func ignoredErrorCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
@@ -220,44 +214,13 @@ func (e *errflow) usedInsideFuncLit(body *ast.BlockStmt) map[types.Object]bool {
 	return out
 }
 
-// checkSwallowingCallee is the interprocedural half (one call deep,
-// over the whole module's summaries): a call from an errflow-scoped
-// package into an in-module helper whose summary says it silently
-// discards an error inside its body is reported at the call site — the
-// caller cannot handle an error it never sees. Helpers in errflow-scoped
-// packages are exempt here because their bodies are already checked
-// directly.
-func (e *errflow) checkSwallowingCallee(n ast.Node) {
-	InspectShallow(n, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(e.pass.Info, call)
-		if fn == nil {
-			return true
-		}
-		node := e.pass.Prog.NodeOf(fn)
-		if node == nil || errflowScoped(node.Pkg.RelPath) {
-			return true
-		}
-		if pos := e.pass.Prog.SwallowsError(node); pos != token.NoPos {
-			p := e.pass.Prog.Fset.Position(pos)
-			e.pass.Reportf(call.Pos(), "call to %s swallows an error inside its body (%s:%d); the error never reaches this caller — plumb it out or record the justification there", node.Name, filepath.Base(p.Filename), p.Line)
-		}
-		return true
-	})
-}
-
-// errflowScoped reports whether relPath is one of the packages errflow
-// already analyzes directly.
-func errflowScoped(relPath string) bool {
-	for _, p := range errflowPackages {
-		if p == relPath {
-			return true
-		}
-	}
-	return false
+// declaredIn reports whether obj is declared in fb's own signature or
+// body. A function literal that assigns a variable of its enclosing
+// function (a deferred recover setting the named result, say) hands the
+// value to code outside its CFG, so only a function's own variables are
+// judged.
+func declaredIn(fb FuncBody, obj types.Object) bool {
+	return obj.Pos() >= fb.Type.Pos() && obj.Pos() < fb.Body.End()
 }
 
 // namedResults collects the function's named result objects: assigning
@@ -285,12 +248,10 @@ func runErrFlow(pass *Pass) {
 		results := e.namedResults(fb)
 		for _, b := range g.Blocks {
 			for idx, n := range b.Nodes {
-				// (3) calls into helpers that swallow errors internally.
-				e.checkSwallowingCallee(n)
 				// (2) discarded error results in statement position.
 				if es, ok := n.(*ast.ExprStmt); ok {
 					if call, isCall := es.X.(*ast.CallExpr); isCall {
-						if tv, hasType := pass.Info.Types[call]; hasType && hasErrorResult(tv.Type) && !ignoredErrorCallInfo(pass.Info, call) {
+						if tv, hasType := pass.Info.Types[call]; hasType && hasErrorResult(tv.Type) && !ignoredErrorCall(pass.Info, call) {
 							pass.Reportf(call.Pos(), "call discards its error result; handle it or assign to _ explicitly")
 						}
 					}
@@ -298,7 +259,7 @@ func runErrFlow(pass *Pass) {
 				}
 				// (1) error assignments dropped on some path.
 				for _, obj := range e.assignedErrorObjects(n) {
-					if escaped[obj] || results[obj] {
+					if escaped[obj] || results[obj] || !declaredIn(fb, obj) {
 						continue
 					}
 					if e.droppedOnSomePath(g, b, idx, obj) {

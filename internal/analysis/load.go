@@ -310,8 +310,10 @@ func (l *Loader) LoadDir(dir, rel string) ([]*Package, error) {
 	return append(pkgs, tests...), nil
 }
 
-// LoadModule loads every package in the module (skipping testdata and
-// hidden directories), including in-package and external test units.
+// LoadModule loads every package in the module, including in-package and
+// external test units. Like the go tool, it skips testdata and hidden
+// directories, and any subdirectory with its own go.mod: that is another
+// module (perfbench is one), not part of this one.
 func (l *Loader) LoadModule() ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
@@ -321,9 +323,14 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 		if !d.IsDir() {
 			return nil
 		}
-		name := d.Name()
-		if path != l.ModuleRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
+		if path != l.ModuleRoot {
+			name := d.Name()
+			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		nonTest, testNames, err := listGoFiles(path)
 		if err != nil {

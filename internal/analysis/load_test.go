@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/types"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -35,5 +36,27 @@ func TestLoadersShareStdImporter(t *testing.T) {
 		if pkgs[i] != pkgs[0] {
 			t.Fatalf("loader %d type-checked its own net/http", i)
 		}
+	}
+}
+
+// TestPerfbenchTypeChecks type-checks perfbench, the benchmark's nested
+// module, against this tree. go build ./... and go vet ./... stop at its
+// go.mod, and LoadModule skips it as the go tool does, so without this
+// test a change that renames or removes something perfbench calls would
+// first fail when the benchmark runs.
+func TestPerfbenchTypeChecks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks perfbench and the module packages it imports")
+	}
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadDir(filepath.Join(l.ModuleRoot, "perfbench"), "perfbench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("perfbench has no Go package")
 	}
 }

@@ -87,18 +87,19 @@ func TestAnalyzersCatchRepoMutations(t *testing.T) {
 			want: "m.queuedAt guarded by mu",
 		},
 		{
-			// The historical finding: sorting the scheduler's input in
-			// place instead of a clone.
-			az: Purity, rel: "internal/sched", file: "dualhp.go",
-			old:  "\torder := in.Clone()\n\tsort.SliceStable(order,",
-			new:  "\torder := in\n\tsort.SliceStable(order,",
-			want: "in place",
-		},
-		{
 			// The live executor drops the priority computation's error.
 			az: ErrFlow, rel: "internal/runtime", file: "runtime.go",
 			old:  "\t\tif _, err := g.d.AssignBottomLevelPriorities(dag.WeightMin, pl); err != nil {\n\t\t\treturn nil, err\n\t\t}\n",
 			new:  "\t\tg.d.AssignBottomLevelPriorities(dag.WeightMin, pl)\n",
+			want: "discards its error result",
+		},
+		{
+			// A helper outside the commands discards an error. errflow
+			// reports it in the helper's own package.
+			name: "errflow_NewLogger",
+			az:   ErrFlow, rel: "internal/obs", file: "logging.go",
+			old:  "\tlevel := slog.LevelInfo\n\tjson := false\n",
+			new:  "\tos.Setenv(\"HP_X\", \"1\")\n\tlevel := slog.LevelInfo\n\tjson := false\n",
 			want: "discards its error result",
 		},
 		{
@@ -184,10 +185,9 @@ func TestAnalyzersCatchRepoMutations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog := BuildProgram(pkgs)
 			var got []Diagnostic
 			for _, p := range pkgs {
-				got = append(got, RunAnalyzersProgram([]*Analyzer{c.az}, p, prog)...)
+				got = append(got, RunAnalyzers([]*Analyzer{c.az}, p)...)
 			}
 			for _, d := range got {
 				if filepath.Base(d.Pos.Filename) == c.file && d.Pos.Line >= first && d.Pos.Line <= last &&

@@ -18,17 +18,27 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := BuildProgram(pkgs)
+	// The walk keeps the root package and stops at perfbench's go.mod.
+	root := false
+	for _, p := range pkgs {
+		root = root || p.RelPath == ""
+		if p.RelPath == "perfbench" {
+			t.Errorf("LoadModule loaded the nested module perfbench")
+		}
+	}
+	if !root {
+		t.Errorf("LoadModule skipped the module's root package")
+	}
 	suite := All()
 	var raw []Diagnostic
 	for _, p := range pkgs {
-		kept, r := RunAnalyzersProgramRaw(suite, p, prog)
+		kept, r := RunAnalyzersRaw(suite, p)
 		for _, d := range kept {
 			t.Errorf("%s", d)
 		}
 		raw = append(raw, r...)
 	}
-	for _, d := range StaleAllows(suite, pkgs, prog, raw) {
+	for _, d := range StaleAllows(suite, pkgs, raw) {
 		t.Errorf("%s", d)
 	}
 }

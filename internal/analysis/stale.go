@@ -11,20 +11,18 @@ import (
 // while the named analyzer would still fire at that site. Once the code
 // underneath is fixed or refactored away, the allow is a standing
 // invitation to reintroduce the problem silently — so hplint reports it
-// for deletion. Liveness has two sources: the raw (pre-suppression)
-// diagnostic stream of a full-suite, full-module run, and the summary
-// layer's raw sites — purity and errflow consume callee-side allows
-// without ever emitting a diagnostic at the allowed line, so the raw
-// mutation and swallowed-error positions stand in for them. Detection
-// needs the whole suite over the whole module, which every cmd/hplint
-// run and the repo self-test provide: a run of fewer analyzers or
-// packages cannot distinguish "stale" from "not exercised here".
+// for deletion. An allow is live exactly when the raw (pre-suppression)
+// diagnostic stream of a full-suite, full-module run fired on one of its
+// lines. Detection needs the whole suite over the whole module, which
+// every cmd/hplint run and the repo self-test provide: a run of fewer
+// analyzers or packages cannot distinguish "stale" from "not exercised
+// here".
 
 // StaleAllows reports every hplint:allow comment in pkgs that no longer
 // suppresses anything. raw must be the concatenated RAW diagnostic
-// streams (RunAnalyzersProgramRaw) of every package in pkgs, and suite
-// the full suite those runs used; prog, non-nil, the Program they shared.
-func StaleAllows(suite []*Analyzer, pkgs []*Package, prog *Program, raw []Diagnostic) []Diagnostic {
+// streams (RunAnalyzersRaw) of every package in pkgs, and suite the full
+// suite those runs used.
+func StaleAllows(suite []*Analyzer, pkgs []*Package, raw []Diagnostic) []Diagnostic {
 	known := make(map[string]bool, len(suite))
 	for _, a := range suite {
 		known[a.Name] = true
@@ -35,16 +33,6 @@ func StaleAllows(suite []*Analyzer, pkgs []*Package, prog *Program, raw []Diagno
 			continue
 		}
 		fired[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}] = true
-	}
-	for _, n := range prog.Nodes {
-		for _, s := range prog.mutationSitesRaw(n) {
-			p := prog.Fset.Position(s.pos)
-			fired[allowKey{p.Filename, p.Line, "purity"}] = true
-		}
-		for _, pos := range prog.swallowSitesRaw(n) {
-			p := prog.Fset.Position(pos)
-			fired[allowKey{p.Filename, p.Line, "errflow"}] = true
-		}
 	}
 
 	var out []Diagnostic

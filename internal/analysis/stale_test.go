@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// loadFixtureProgram loads one testdata fixture directory under the given
-// module-relative path and builds its call-graph program.
-func loadFixtureProgram(t *testing.T, dir, rel string) ([]*Package, *Program) {
+// loadFixture loads one fixture directory under the given module-relative
+// path.
+func loadFixture(t *testing.T, dir, rel string) []*Package {
 	t.Helper()
 	l, err := NewLoader(".")
 	if err != nil {
@@ -20,20 +20,20 @@ func loadFixtureProgram(t *testing.T, dir, rel string) ([]*Package, *Program) {
 	if len(pkgs) == 0 {
 		t.Fatalf("no packages loaded from %s", dir)
 	}
-	return pkgs, BuildProgram(pkgs)
+	return pkgs
 }
 
 // TestStaleAllowsFixture checks both directions on the stalecheck
 // fixture: the live allow stays quiet, the stale one is reported.
 func TestStaleAllowsFixture(t *testing.T) {
-	pkgs, prog := loadFixtureProgram(t, "testdata/stalecheck", "internal/sched")
+	pkgs := loadFixture(t, "testdata/stalecheck", "internal/sched")
 	suite := All()
 	var raw []Diagnostic
 	for _, p := range pkgs {
-		_, r := RunAnalyzersProgramRaw(suite, p, prog)
+		_, r := RunAnalyzersRaw(suite, p)
 		raw = append(raw, r...)
 	}
-	stale := StaleAllows(suite, pkgs, prog, raw)
+	stale := StaleAllows(suite, pkgs, raw)
 	if len(stale) != 1 {
 		t.Fatalf("got %d stale allows, want 1: %v", len(stale), stale)
 	}

@@ -57,3 +57,12 @@ func okNamedResult() (err error) {
 	err = mightFail()
 	return
 }
+
+func okDeferredRecover() (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("recovered: %v", v)
+		}
+	}()
+	return mightFail()
+}

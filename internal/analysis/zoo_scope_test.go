@@ -3,30 +3,21 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestZooFilesInAnalyzerScope pins the hplint scope contract the
-// competitor zoo relies on: purity (no in-place instance mutation) and
-// simdeterminism (no wall clock or global randomness in the simulation
-// path) are package-scoped on internal/sched, so every scheduler file —
-// including each zoo file added for DESIGN.md §15 — is analyzed without
-// needing per-file registration. The test fails if the scopes drop the
-// package, or if a zoo file disappears without this roster being updated.
+// competitor zoo relies on: simdeterminism (no wall clock or global
+// randomness in the simulation path) is package-scoped on internal/sched,
+// so every scheduler file — including each zoo file added for DESIGN.md
+// §15 — is analyzed without needing per-file registration. The test fails
+// if the scope drops the package, or if a zoo file disappears without
+// this roster being updated. That the zoo leaves its inputs untouched is
+// tested directly, by internal/expr's TestEntryPointsLeaveInputsUntouched.
 func TestZooFilesInAnalyzerScope(t *testing.T) {
-	inScope := func(a *Analyzer) bool {
-		for _, p := range a.Packages {
-			if p == "internal/sched" {
-				return true
-			}
-		}
-		return false
-	}
-	if !inScope(Purity) {
-		t.Errorf("purity no longer covers internal/sched: %v", Purity.Packages)
-	}
-	if !inScope(SimDeterminism) {
+	if !slices.Contains(SimDeterminism.Packages, "internal/sched") {
 		t.Errorf("simdeterminism no longer covers internal/sched: %v", SimDeterminism.Packages)
 	}
 

@@ -286,7 +286,7 @@ func (g *Graph) AssignBottomLevelPriorities(w Weighting, pl platform.Platform) (
 	}
 	var cp float64
 	for id, v := range bl {
-		g.tasks[id].Priority = v //hplint:allow purity assigning priorities is this method's documented purpose; callers opt in by name
+		g.tasks[id].Priority = v
 		cp = max(cp, v)
 	}
 	return cp, nil

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -101,8 +102,8 @@ func BuildPlan(cfg PlanConfig) (*Plan, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("load: requests must be positive, got %d", cfg.Requests)
 	}
-	if cfg.Rate <= 0 {
-		return nil, fmt.Errorf("load: rate must be positive, got %g", cfg.Rate)
+	if !(cfg.Rate > 0) || math.IsInf(cfg.Rate, 1) {
+		return nil, fmt.Errorf("load: rate must be positive and finite, got %g", cfg.Rate)
 	}
 	mix := DefaultMix()
 	total := 0
@@ -116,8 +117,12 @@ func BuildPlan(cfg PlanConfig) (*Plan, error) {
 	var offset time.Duration
 	for i := 0; i < cfg.Requests; i++ {
 		// Poisson arrivals: exponential inter-arrival gaps at the mean rate.
-		gap := time.Duration(rng.ExpFloat64() / cfg.Rate * float64(time.Second))
-		offset += gap
+		// A gap or offset past time.Duration's range would wrap.
+		gap := rng.ExpFloat64() / cfg.Rate * float64(time.Second)
+		if !(gap < math.MaxInt64) || offset+time.Duration(gap) < offset {
+			return nil, fmt.Errorf("load: request %d's arrival offset overflows time.Duration at rate %g", i, cfg.Rate)
+		}
+		offset += time.Duration(gap)
 
 		pick := rng.Intn(total)
 		kind := mix[len(mix)-1].Kind

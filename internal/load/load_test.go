@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -87,6 +88,19 @@ func TestBuildPlanErrors(t *testing.T) {
 	}
 	if _, err := BuildPlan(PlanConfig{Requests: 10, Rate: 0}); err == nil {
 		t.Error("zero rate accepted")
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := BuildPlan(PlanConfig{Requests: 10, Rate: rate}); err == nil {
+			t.Errorf("rate %g accepted", rate)
+		}
+	}
+	// At 1e-300 requests/s the first gap, about 1e309 ns, overflows float64
+	// to +Inf. At 1e-9 each gap, about 1e18 ns, fits in a Duration, but
+	// their running sum passes its 9.2e18 ns within 100 requests.
+	for _, rate := range []float64{1e-300, 1e-9} {
+		if _, err := BuildPlan(PlanConfig{Requests: 100, Rate: rate}); err == nil {
+			t.Errorf("rate %g: offsets past time.Duration's range accepted", rate)
+		}
 	}
 }
 

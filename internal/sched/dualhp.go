@@ -326,9 +326,10 @@ func DualHPDAGWithPriorities(g *dag.Graph, pl platform.Platform, rank Ranking) (
 	return DualHPDAG(g, pl, rank)
 }
 
-// sortedByPriorityDesc is a helper used in tests and experiments. It
-// returns a sorted clone: scheduler inputs are read-only (see the purity
-// analyzer), so even helpers follow the clone-then-sort discipline.
+// sortedByPriorityDesc returns a clone of in in decreasing priority order,
+// ties in input order: the dispatch order of ERLS and PriorityAware. It
+// sorts a clone because scheduler inputs are read-only
+// (TestEntryPointsLeaveInputsUntouched in internal/expr).
 func sortedByPriorityDesc(in platform.Instance) platform.Instance {
 	order := in.Clone()
 	sort.SliceStable(order, func(i, j int) bool { return order[i].Priority > order[j].Priority })

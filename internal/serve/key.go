@@ -86,13 +86,14 @@ func CanonicalEqual(a, b platform.Instance) bool {
 func KeyOf(in platform.Instance, pl platform.Platform, alg string, seed int64, params ...string) Key {
 	h := sha256.New()
 	var buf [8]byte
+	// A hash.Hash's Write never returns an error.
 	word := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		_, _ = h.Write(buf[:])
 	}
 	str := func(s string) {
 		word(uint64(len(s)))
-		h.Write([]byte(s))
+		_, _ = h.Write([]byte(s))
 	}
 	str("hpserve-key-v1")
 	word(uint64(pl.CPUs))
