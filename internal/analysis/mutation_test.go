@@ -54,12 +54,14 @@ func TestAnalyzersCatchRepoMutations(t *testing.T) {
 			want: "outside an `if s.o != nil` guard",
 		},
 		{
-			// The live executor fills workers in the idle set's map order
-			// instead of platform order.
-			az: MapOrder, rel: "internal/runtime", file: "runtime.go",
-			old: "\t\t\t\tfor _, w := range pl.WorkersOf(kind) {\n\t\t\t\t\tif !idle[w] || queue.Len() == 0 {",
-			new: "\t\t\t\tvar free []int\n\t\t\t\tfor w := range idle {\n\t\t\t\t\tfree = append(free, w)\n\t\t\t\t}\n" +
-				"\t\t\t\tfor _, w := range free {\n\t\t\t\t\tif pl.KindOf(w) != kind || queue.Len() == 0 {",
+			// The exact solver branches over one worker per (class, load)
+			// symmetry class in its map's order instead of platform order.
+			az: MapOrder, rel: "internal/sched", file: "exact.go",
+			old: "\t\tseen := make(map[key]bool, nw)\n\t\tfor w := 0; w < nw; w++ {\n\t\t\tk := pl.KindOf(w)\n" +
+				"\t\t\tkk := key{k, loads[w]}\n\t\t\tif seen[kk] {\n\t\t\t\tcontinue\n\t\t\t}\n\t\t\tseen[kk] = true\n",
+			new: "\t\tseen := make(map[key]int, nw)\n\t\tfor w := nw - 1; w >= 0; w-- {\n\t\t\tseen[key{pl.KindOf(w), loads[w]}] = w\n\t\t}\n" +
+				"\t\tvar ws []int\n\t\tfor _, w := range seen {\n\t\t\tws = append(ws, w)\n\t\t}\n" +
+				"\t\tfor _, w := range ws {\n\t\t\tk := pl.KindOf(w)\n",
 			want: "nondeterministic order",
 		},
 		{

@@ -95,8 +95,7 @@ func (r Result) Makespan() float64 { return r.Schedule.Makespan() }
 // Queue is HeteroPrio's double-ended ready queue, ordered by non-increasing
 // acceleration factor with optional priority tie-breaks and stable
 // insertion order. GPU workers pop from the front, CPU workers from the
-// back. It is exported for reuse by custom policies and the real-time
-// executor (package runtime).
+// back. It is exported for reuse by custom policies.
 //
 // The order is materialized lazily. Push appends the task and a compact
 // sort key in O(1); the first pop after a batch of pushes orders the k
@@ -399,7 +398,7 @@ var kindOrder = [platform.NumKinds]platform.Kind{platform.GPU, platform.CPU}
 // spoliation rule and the transfer-delay bookkeeping. Its hooks are the
 // scheduling hot path: beyond the amortized growth of the queue and of
 // the recorded schedule they allocate nothing, and construction and setup
-// stay in runList. TestScheduleAllocsPerCall holds a whole call to a
+// stay in init. TestScheduleAllocsPerCall holds a whole call to a
 // fixed allocation budget at every size.
 type listState struct {
 	k   *sim.Kernel
@@ -460,11 +459,10 @@ func victimBefore(a, b *sim.Running) bool {
 // total, one pass picks exactly the run that sorting the candidates and
 // taking the first qualifying one would.
 //
-// PickVictim is the one statement of the rule. The live runtime (package
-// runtime) calls it on every attempt; the simulator keeps a victimHeap
-// instead, which FuzzVictimHeapMatchesPickVictim holds to it, so a
-// simulated attempt never scans the other class's runs. It does not
-// allocate (TestPickVictimAllocFree).
+// PickVictim is the statement of the rule and the reference
+// FuzzVictimHeapMatchesPickVictim holds the victimHeap to: HeteroPrio's
+// runs, simulated or live, pick from the heap, so an attempt never scans
+// the other class's runs. It does not allocate (TestPickVictimAllocFree).
 func PickVictim(victims []sim.Running, now float64, kind platform.Kind, eps float64) int {
 	best := -1
 	for i := range victims {
@@ -583,13 +581,10 @@ func (s *listState) complete(run sim.Running) {
 	}
 }
 
-// runList runs HeteroPrio on the tasks src releases: all at once, as a
-// graph's tasks become ready, or at their release dates. Every completion
-// at an instant is retired before the next decision round, so all workers
-// that become idle at that instant see the same queue, with GPUs served
-// first (otherwise a CPU could steal a high-affinity task from a GPU that
-// frees up at the very same time).
-func runList(src sim.Releases, pl platform.Platform, opt Options) (Result, error) {
+// init readies s to schedule the tasks src releases on a fresh kernel for
+// pl. It fills a value rather than returning a pointer, so runList's
+// state stays on its stack.
+func (s *listState) init(src sim.Releases, pl platform.Platform, opt Options) {
 	// Independent tasks are all queued at once. A graph's or an arrival
 	// sequence's queue holds only the tasks ready at one instant: on the
 	// factorizations from N=16 up, HeteroPrio-min's queue peaks at 1-15%
@@ -599,7 +594,7 @@ func runList(src sim.Releases, pl platform.Platform, opt Options) (Result, error
 	if src.Graph != nil {
 		qcap = src.Graph.Len() / 8
 	}
-	s := &listState{
+	*s = listState{
 		k:          sim.NewKernel(pl),
 		q:          newQueueCap(opt.UsePriorities, qcap),
 		pl:         pl,
@@ -614,6 +609,17 @@ func runList(src sim.Releases, pl platform.Platform, opt Options) (Result, error
 	if s.g != nil && opt.TransferDelay > 0 {
 		s.classReady = make([][platform.NumKinds]float64, s.g.Len())
 	}
+}
+
+// runList runs HeteroPrio on the tasks src releases: all at once, as a
+// graph's tasks become ready, or at their release dates. Every completion
+// at an instant is retired before the next decision round, so all workers
+// that become idle at that instant see the same queue, with GPUs served
+// first (otherwise a CPU could steal a high-affinity task from a GPU that
+// frees up at the very same time).
+func runList(src sim.Releases, pl platform.Platform, opt Options) (Result, error) {
+	var s listState
+	s.init(src, pl, opt)
 	err := sim.Run(s.k, src, sim.Policy{Release: s.release, Assign: s.assign, Complete: s.complete, Batch: true})
 	if err != nil {
 		return Result{}, err

@@ -278,8 +278,12 @@ func (g *Graph) BottomLevels(w Weighting, pl platform.Platform) ([]float64, erro
 
 // AssignBottomLevelPriorities computes bottom levels under scheme w and
 // stores them as task priorities, returning the critical-path length (the
-// maximum bottom level).
+// maximum bottom level). It writes nothing unless pl is a valid platform:
+// without workers, WeightAvg's levels would be NaN.
 func (g *Graph) AssignBottomLevelPriorities(w Weighting, pl platform.Platform) (float64, error) {
+	if err := pl.Validate(); err != nil {
+		return 0, err
+	}
 	bl, err := g.BottomLevels(w, pl)
 	if err != nil {
 		return 0, err

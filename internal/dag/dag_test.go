@@ -183,6 +183,17 @@ func TestAssignBottomLevelPriorities(t *testing.T) {
 	if g.Task(0).Priority != 8 || g.Task(3).Priority != 4 {
 		t.Errorf("priorities not stored: %v, %v", g.Task(0).Priority, g.Task(3).Priority)
 	}
+	// A platform without workers is refused before any priority is
+	// written: WeightAvg's levels on it are 0/0.
+	empty := diamond(t)
+	if _, err := empty.AssignBottomLevelPriorities(WeightAvg, platform.Platform{}); err == nil {
+		t.Error("0+0 platform accepted")
+	}
+	for id := range empty.Len() {
+		if p := empty.Task(id).Priority; p != 0 {
+			t.Errorf("0+0 platform: task %d priority %v, want it untouched (0)", id, p)
+		}
+	}
 }
 
 func TestLongestPathTasks(t *testing.T) {

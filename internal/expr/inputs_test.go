@@ -417,15 +417,10 @@ func scheduleDAG(f func(*dag.Graph, platform.Platform) (*sim.Schedule, error)) f
 }
 
 // diffTasks returns the index of the first task of got that differs from
-// want, or -1 when they are the same. Priorities compare bit for bit:
-// average-weighted bottom levels on a platform without workers are NaN.
+// want, or -1 when they are the same.
 func diffTasks(got, want platform.Instance) int {
 	for i := range min(len(got), len(want)) {
-		a, b := got[i], want[i]
-		if math.Float64bits(a.Priority) == math.Float64bits(b.Priority) {
-			a.Priority, b.Priority = 0, 0
-		}
-		if a != b {
+		if got[i] != want[i] {
 			return i
 		}
 	}

@@ -6,15 +6,28 @@
 // are OS threads, with the class distinction carried by which kernel
 // implementation a task runs — see the realcholesky example).
 //
-// Scheduling follows Algorithm 1 online: ready tasks enter the two-ended
+// Run makes no scheduling decision of its own. The policy is core.Live,
+// HeteroPrio as the simulator runs it: ready tasks enter the two-ended
 // acceleration-factor queue, GPU-class workers pull from the front,
 // CPU-class workers from the back, and an idle worker with an empty queue
 // spoliates a task running on the other class if its *estimated*
-// completion would improve. Spoliation is cooperative: the victim's
-// cancel flag is raised, its kernel abandons the run at the next poll,
-// the task's inputs are restored (Reset hook) and the task restarts on
-// the spoliating worker. Unlike the simulator, decisions use estimated
-// durations but the trace records measured wall-clock times.
+// completion would improve. Its clock is the measured time since the
+// execution began, in seconds, the unit of the estimates. Run asks for a
+// decision round at the start and after every run returns, finishing the
+// run first if it completed. It raises the cancel flag of every run the
+// policy aborted: spoliation is cooperative, the kernel abandons the run
+// at its next poll. It sends each run the policy started to its worker
+// once that goroutine is free and no other goroutine executes the task,
+// so a thief restarts a task only after its victim has returned and the
+// task's inputs are restored (Reset hook). Decisions use estimated
+// durations; the trace records measured wall-clock times.
+//
+// Deciding as the simulator does has three consequences. A run whose
+// flag was raised counts as aborted even if it returned completed: the
+// policy has already restarted the task elsewhere. A victim's worker is
+// free for the policy at the abort instant, and starts its next run once
+// its goroutine returns. And Config.Observer receives the policy's own
+// events, at decision times.
 package runtime
 
 import (
@@ -45,8 +58,9 @@ type Task struct {
 	// right before the task's first dispatch — typically to snapshot the
 	// inputs the task mutates in place.
 	Prepare func()
-	// Reset, if non-nil, is called before a re-dispatch after a cancelled
-	// run — typically to restore the Prepare snapshot.
+	// Reset, if non-nil, is called before every later dispatch, once the
+	// aborted run has returned — typically to restore the Prepare
+	// snapshot.
 	Reset func()
 }
 
@@ -90,12 +104,14 @@ type Config struct {
 	// Nil means the wall clock; tests and replays inject a clock.Manual
 	// so live runs observe deterministic timestamps.
 	Clock clock.Clock
-	// Observer, if non-nil, receives the same scheduling events the
-	// simulator's loops emit (queue entries, dispatches, spoliations,
-	// completions), with times in measured milliseconds since the
-	// execution's epoch. All emission sites are nil-guarded, so a nil
-	// Observer costs nothing. Events fire from the coordinator goroutine
-	// in measured-time order.
+	// Observer, if non-nil, receives the policy's scheduling events, the
+	// ones a simulated HeteroPrio run emits: queue entries, starts,
+	// spoliations, completions, and after each round the idle workers and
+	// the queue depth. Times are decision times, in seconds since the
+	// execution began: when the coordinator learned of a completion and
+	// decided, not when a goroutine started or returned a run (that is
+	// Report.Trace). Events fire from the coordinator goroutine, in time
+	// order.
 	Observer obs.Observer
 }
 
@@ -107,7 +123,8 @@ type Report struct {
 	// including aborted (spoliated) attempts. Durations are measured, so
 	// Trace must not be validated against the estimate instance.
 	Trace *sim.Schedule
-	// Spoliations is the number of cancelled runs.
+	// Spoliations is the number of aborted runs: the runs whose flag was
+	// raised, whether or not they returned completed.
 	Spoliations int
 }
 
@@ -125,15 +142,18 @@ type completion struct {
 	err        error
 }
 
+// worker is the coordinator's view of one worker goroutine: the index in
+// the policy's schedule of the run it executes, -1 while it is free, with
+// that run's cancel flag, and the index of the run the policy started on
+// it that waits to be sent, -1 if none.
+type worker struct {
+	exec, next int
+	flag       *cancel.Flag
+}
+
 // Run executes the graph and blocks until every task has completed.
 func Run(g *Graph, cfg Config) (*Report, error) {
 	pl := platform.Platform{CPUs: cfg.CPUWorkers, GPUs: cfg.GPUWorkers}
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	if err := g.d.Validate(); err != nil {
-		return nil, err
-	}
 	for id, t := range g.tasks {
 		if t.Run == nil {
 			return nil, fmt.Errorf("runtime: task %d (%s) has no Run function", id, t.Name)
@@ -144,12 +164,21 @@ func Run(g *Graph, cfg Config) (*Report, error) {
 			return nil, err
 		}
 	}
+	lv, err := core.NewLive(g.d, pl, core.Options{
+		DisableSpoliation: cfg.DisableSpoliation,
+		UsePriorities:     cfg.UsePriorities,
+		Observer:          cfg.Observer,
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.Wall{}
 	}
 	epoch := clk.Now()
+	now := func() float64 { return clk.Since(epoch).Seconds() }
 	jobs := make([]chan job, pl.Workers())
 	done := make(chan completion, pl.Workers())
 	for w := 0; w < pl.Workers(); w++ {
@@ -172,193 +201,90 @@ func Run(g *Graph, cfg Config) (*Report, error) {
 		}
 	}()
 
-	// Coordinator state.
-	rt := dag.NewReadyTracker(g.d)
-	queue := core.NewQueue(cfg.UsePriorities)
-	type runInfo struct {
-		id     int
-		flag   *cancel.Flag
-		estEnd time.Duration // estimated completion (for spoliation)
-		spol   bool          // this run was started by a spoliation
+	k := lv.Kernel()
+	workers := make([]worker, pl.Workers())
+	for w := range workers {
+		workers[w] = worker{exec: -1, next: -1}
 	}
-	running := make(map[int]*runInfo) // worker -> run
-	prepared := make(map[int]bool)
-	idle := map[int]bool{}
-	for w := 0; w < pl.Workers(); w++ {
-		idle[w] = true
-	}
+	// executing[id] is set while a goroutine executes task id; prepared[id]
+	// once the task has been dispatched.
+	executing := make([]bool, g.Len())
+	prepared := make([]bool, g.Len())
+	decided, inFlight := 0, 0
 	trace := &sim.Schedule{Platform: pl}
 	spoliations := 0
 
-	// ms converts a duration since the epoch into the observer time unit
-	// (measured milliseconds — the live counterpart of the simulated clock).
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-	dispatch := func(w, id int, spol bool) {
-		t := g.tasks[id]
-		if !prepared[id] {
-			if t.Prepare != nil {
-				t.Prepare()
+	// execute carries out the policy's decisions since its last call: it
+	// raises the flag of every executing run the policy aborted, and
+	// sends each run the policy started to its worker once that goroutine
+	// is free and no other goroutine executes the task. A run aborted
+	// before it could be sent is dropped.
+	execute := func() {
+		runs := k.Schedule().Entries
+		for ; decided < len(runs); decided++ {
+			workers[runs[decided].Worker].next = decided
+		}
+		for w := range workers {
+			wk := &workers[w]
+			if wk.exec >= 0 && runs[wk.exec].Aborted {
+				wk.flag.Cancel()
 			}
-			prepared[id] = true
-		} else if t.Reset != nil {
-			t.Reset()
-		}
-		flag := &cancel.Flag{}
-		est := g.d.Task(id).Time(pl.KindOf(w))
-		now := clk.Since(epoch)
-		running[w] = &runInfo{
-			id: id, flag: flag,
-			estEnd: now + time.Duration(est*float64(time.Second)),
-			spol:   spol,
-		}
-		delete(idle, w)
-		if o := cfg.Observer; o != nil {
-			o.TaskStarted(ms(now), w, pl.KindOf(w), g.d.Task(id), ms(running[w].estEnd), spol)
-		}
-		jobs[w] <- job{id: id, t: t, flag: flag}
-	}
-
-	// reservedBy maps a victim worker to the worker waiting to restart
-	// its task after the cooperative abort.
-	reservedBy := make(map[int]int) // victim worker -> spoliating worker
-
-	// victims is trySpoliate's scratch list: the other class's runs not
-	// already being spoliated, in the simulator's Running form so both
-	// pick by HeteroPrio's victim rule.
-	victims := make([]sim.Running, 0, pl.Workers())
-	trySpoliate := func(w int) bool {
-		if cfg.DisableSpoliation {
-			return false
-		}
-		kind := pl.KindOf(w)
-		victims = victims[:0]
-		lo, hi := pl.KindRange(kind.Other())
-		for vw := lo; vw < hi; vw++ {
-			info, ok := running[vw]
-			if _, taken := reservedBy[vw]; ok && !taken {
-				victims = append(victims, sim.Running{Worker: vw, Task: g.d.Task(info.id), EstEnd: info.estEnd.Seconds()})
+			if wk.next < 0 || wk.exec >= 0 || executing[runs[wk.next].TaskID] {
+				continue
 			}
-		}
-		i := core.PickVictim(victims, clk.Since(epoch).Seconds(), kind, core.DefaultEps)
-		if i < 0 {
-			return false
-		}
-		vw := victims[i].Worker
-		running[vw].flag.Cancel()
-		reservedBy[vw] = w
-		delete(idle, w)
-		return true
-	}
-
-	assign := func() {
-		for {
-			progress := false
-			for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
-				for _, w := range pl.WorkersOf(kind) {
-					if !idle[w] || queue.Len() == 0 {
-						continue
-					}
-					var t platform.Task
-					if kind == platform.GPU {
-						t = queue.PopFront()
-					} else {
-						t = queue.PopBack()
-					}
-					dispatch(w, t.ID, false)
-					progress = true
+			i := wk.next
+			wk.next = -1
+			if runs[i].Aborted {
+				continue
+			}
+			id := runs[i].TaskID
+			t := g.tasks[id]
+			if !prepared[id] {
+				if t.Prepare != nil {
+					t.Prepare()
 				}
+				prepared[id] = true
+			} else if t.Reset != nil {
+				t.Reset()
 			}
-			if queue.Len() == 0 {
-				// A failed attempt changes nothing a later worker of the
-				// same class would see, so the class stops there.
-				for _, kind := range []platform.Kind{platform.GPU, platform.CPU} {
-					for _, w := range pl.WorkersOf(kind) {
-						if !idle[w] {
-							continue
-						}
-						if !trySpoliate(w) {
-							break
-						}
-						progress = true
-					}
-				}
-			}
-			if !progress {
-				return
-			}
+			wk.exec, wk.flag = i, &cancel.Flag{}
+			executing[id] = true
+			inFlight++
+			jobs[w] <- job{id: id, t: t, flag: wk.flag}
 		}
 	}
 
-	for _, id := range rt.Drain() {
-		queue.Push(g.d.Task(id))
-		if o := cfg.Observer; o != nil {
-			o.TaskQueued(ms(clk.Since(epoch)), g.d.Task(id), queue.Len())
-		}
-	}
-	assign()
-	if o := cfg.Observer; o != nil {
-		o.QueueDepthSample(ms(clk.Since(epoch)), queue.Len())
-	}
-
-	for !rt.Done() {
-		if len(running) == 0 {
-			return nil, fmt.Errorf("runtime: stalled with %d tasks remaining", rt.Remaining())
+	lv.Round(now())
+	execute()
+	for !lv.Done() {
+		if inFlight == 0 {
+			return nil, fmt.Errorf("runtime: stalled with no run in progress")
 		}
 		c := <-done
-		info := running[c.worker]
-		delete(running, c.worker)
-		idle[c.worker] = true
+		wk := &workers[c.worker]
+		run := k.Schedule().Entries[wk.exec]
+		wk.exec = -1
+		executing[c.id] = false
+		inFlight--
 		if c.err != nil {
 			return nil, fmt.Errorf("runtime: task %d (%s): %w", c.id, g.tasks[c.id].Name, c.err)
 		}
-		kind := pl.KindOf(c.worker)
-		entry := sim.Entry{
-			TaskID: c.id, Worker: c.worker, Kind: kind,
+		if !c.completed && !run.Aborted {
+			return nil, fmt.Errorf("runtime: task %d (%s) returned uncompleted without being cancelled", c.id, g.tasks[c.id].Name)
+		}
+		trace.Entries = append(trace.Entries, sim.Entry{
+			TaskID: c.id, Worker: c.worker, Kind: run.Kind,
 			Start: c.start.Seconds(), End: c.end.Seconds(),
-			Spoliation: info.spol,
-		}
-		if c.completed {
-			rt.Complete(c.id)
-			if o := cfg.Observer; o != nil {
-				o.TaskCompleted(ms(c.end), c.worker, kind, g.d.Task(c.id), ms(c.start))
-			}
-			for _, nid := range rt.Drain() {
-				queue.Push(g.d.Task(nid))
-				if o := cfg.Observer; o != nil {
-					o.TaskQueued(ms(c.end), g.d.Task(nid), queue.Len())
-				}
-			}
-			// A completion that won the race against its own spoliation
-			// frees the reserver.
-			if sw, ok := reservedBy[c.worker]; ok {
-				delete(reservedBy, c.worker)
-				idle[sw] = true
-			}
-		} else {
-			// Cooperatively aborted: record and hand the task to the
-			// spoliating worker.
-			entry.Aborted = true
+			Aborted: run.Aborted, Spoliation: run.Spoliation,
+		})
+		t := now()
+		if run.Aborted {
 			spoliations++
-			sw, ok := reservedBy[c.worker]
-			if !ok {
-				return nil, fmt.Errorf("runtime: task %d aborted with no spoliating worker", c.id)
-			}
-			delete(reservedBy, c.worker)
-			idle[sw] = true
-			if o := cfg.Observer; o != nil {
-				o.TaskSpoliated(ms(c.end), c.worker, sw, g.d.Task(c.id), ms(c.end-c.start))
-			}
-			trace.Entries = append(trace.Entries, entry)
-			dispatch(sw, c.id, true)
-			assign()
-			continue
+		} else {
+			lv.Finish(t, c.worker)
 		}
-		trace.Entries = append(trace.Entries, entry)
-		assign()
-		if o := cfg.Observer; o != nil {
-			o.QueueDepthSample(ms(clk.Since(epoch)), queue.Len())
-		}
+		lv.Round(t)
+		execute()
 	}
 
 	return &Report{

@@ -356,8 +356,9 @@ func (c completedSignal) TaskCompleted(_ float64, _ int, _ platform.Kind, t plat
 	}
 }
 
-// TestRunSpoliatesByVictimRule pins the live coordinator to HeteroPrio's
-// victim rule (core.PickVictim) under a frozen clock on 1 CPU + 2 GPUs.
+// TestRunSpoliatesByVictimRule pins the live executor to HeteroPrio's
+// victim rule (core.PickVictim states it) under a frozen clock on 1 CPU +
+// 2 GPUs.
 // Both GPU runs end at the same estimated instant; the second has a
 // successor, so its min bottom level, and with it its priority, is the
 // higher one. When the CPU frees up with an empty queue it must cancel
@@ -452,15 +453,28 @@ func TestCalibrateClock(t *testing.T) {
 	}
 }
 
+// depthSamples counts the queue-depth samples on top of the scheduler
+// metrics, whose depth gauge keeps only the last one.
+type depthSamples struct {
+	*obs.SchedulerMetrics
+	n int
+}
+
+func (d *depthSamples) QueueDepthSample(now float64, depth int) {
+	d.n++
+	d.SchedulerMetrics.QueueDepthSample(now, depth)
+}
+
 // TestRunObserver checks the live executor emits the same observer event
 // stream as the simulator loops: every task is queued, started, and
-// completed, spoliations surface as TaskSpoliated, and the per-event
-// counts reconcile with the returned Report.
+// completed, spoliations surface as TaskSpoliated, the rounds report idle
+// workers and queue depths, and the per-event counts reconcile with the
+// returned Report.
 func TestRunObserver(t *testing.T) {
 	g := NewGraph()
 	g.Add(sleepTask("a", 200*time.Millisecond, 5*time.Millisecond))
 	g.Add(sleepTask("b", 200*time.Millisecond, 5*time.Millisecond))
-	so := obs.NewSchedulerMetrics(obs.NewRegistry())
+	so := &depthSamples{SchedulerMetrics: obs.NewSchedulerMetrics(obs.NewRegistry())}
 	rep, err := Run(g, Config{
 		CPUWorkers: 1, GPUWorkers: 1,
 		Observer: so,
@@ -476,5 +490,74 @@ func TestRunObserver(t *testing.T) {
 	}
 	if got := so.TasksQueued.Value(); got < 2 {
 		t.Errorf("observer queued = %v, want >= 2", got)
+	}
+	// The GPU spoliates b from the CPU, which then idles until the end.
+	if got := so.IdleEvents.With(platform.CPU.String()).Value(); got < 1 {
+		t.Errorf("observer CPU idle events = %v, want >= 1", got)
+	}
+	if so.n < 2 {
+		t.Errorf("observer queue-depth samples = %d, want one per round, >= 2", so.n)
+	}
+}
+
+// TestRunExecutesPolicyDecisions holds what the executor ran to what the
+// policy decided, on the spoliation-stress Cholesky of
+// TestCholeskyGraphWithSpoliationStress over five seeds. The policy's
+// schedule is rebuilt from its observer events. Every successful measured
+// run must be on the worker where the policy finished the task, and every
+// cancelled run must be a run the policy aborted on that worker.
+func TestRunExecutesPolicyDecisions(t *testing.T) {
+	const n, b = 240, 48
+	pl := platform.NewPlatform(3, 1)
+	for seed := range int64(5) {
+		rng := rand.New(rand.NewSource(seed))
+		td, err := tile.NewTiled(tile.RandomSPD(n, rng), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est := CalibrateCholesky(b, rng)
+		est.GEMM[1] /= 4
+		est.SYRK[1] /= 4
+		est.TRSM[1] /= 4
+		g, err := CholeskyGraph(td, est)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := obs.NewTimeline()
+		rep, err := Run(g, Config{CPUWorkers: pl.CPUs, GPUWorkers: pl.GPUs, Observer: tl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		finishedOn := make([]int, g.Len())
+		for id := range finishedOn {
+			finishedOn[id] = -1
+		}
+		aborted := make(map[[2]int]int) // (task, worker) -> runs the policy aborted
+		for _, e := range tl.Schedule(pl).Entries {
+			if e.Aborted {
+				aborted[[2]int{e.TaskID, e.Worker}]++
+			} else {
+				finishedOn[e.TaskID] = e.Worker
+			}
+		}
+		completed := 0
+		for _, e := range rep.Trace.Entries {
+			if !e.Aborted {
+				completed++
+				if e.Worker != finishedOn[e.TaskID] {
+					t.Errorf("seed %d: task %d completed on worker %d, the policy finished it on %d", seed, e.TaskID, e.Worker, finishedOn[e.TaskID])
+				}
+				continue
+			}
+			key := [2]int{e.TaskID, e.Worker}
+			if aborted[key] == 0 {
+				t.Errorf("seed %d: task %d cancelled on worker %d, where the policy aborted no run of it", seed, e.TaskID, e.Worker)
+			}
+			aborted[key]--
+		}
+		if completed != g.Len() {
+			t.Errorf("seed %d: %d successful runs, want %d", seed, completed, g.Len())
+		}
+		t.Logf("seed %d: %d spoliations", seed, rep.Spoliations)
 	}
 }

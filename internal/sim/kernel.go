@@ -182,6 +182,25 @@ func (k *Kernel) Abort(w int) platform.Task {
 	return k.runs[w].Task
 }
 
+// Finish ends the run on worker w at the current time: its entry ends at
+// Now and the worker becomes idle. It is how a run started with an
+// unbounded duration completes, once the executor driving the kernel,
+// not the kernel's clock, learns that it ended. It returns the run, with
+// End set to Now.
+func (k *Kernel) Finish(w int) Running {
+	if !k.Busy(w) {
+		panic(fmt.Sprintf("sim: finish on idle worker %d", w))
+	}
+	r := &k.runs[w]
+	if r.End < math.Inf(1) {
+		k.heapRemove(k.pos[w])
+	}
+	r.End = k.Now
+	k.sched.Entries[k.entry[w]].End = k.Now
+	k.setIdle(w)
+	return *r
+}
+
 // NextCompletion returns the earliest completion time among busy workers,
 // or +Inf when no run will complete (every worker idle, or every busy
 // run ending at +Inf).

@@ -113,6 +113,40 @@ func TestKernelAbort(t *testing.T) {
 	}
 }
 
+// TestKernelFinish: Finish ends a run at Now whatever its duration, an
+// unbounded one included, and takes a bounded one out of the completion
+// heap.
+func TestKernelFinish(t *testing.T) {
+	pl := platform.NewPlatform(2, 1)
+	k := NewKernel(pl)
+	k.StartTimed(0, task(0, 4, 1), math.Inf(1), false)
+	k.Start(1, task(1, 3, 1), false)
+	k.Start(2, task(2, 9, 5), false)
+	if got := k.NextCompletion(); got != 3 {
+		t.Fatalf("NextCompletion = %v, want 3 (the unbounded run never completes)", got)
+	}
+	k.Now = 2
+	if run := k.Finish(1); run.Task.ID != 1 || run.Start != 0 || run.End != 2 || k.Busy(1) {
+		t.Fatalf("Finish(1) = %+v, busy %v", run, k.Busy(1))
+	}
+	if got := k.NextCompletion(); got != 5 {
+		t.Fatalf("NextCompletion after Finish = %v, want 5", got)
+	}
+	k.Now = 4.5
+	if run := k.Finish(0); run.End != 4.5 || run.EstEnd != 4 {
+		t.Fatalf("Finish(0) = %+v, want End 4.5 and EstEnd 4", run)
+	}
+	run, ok := k.CompleteNext()
+	if !ok || run.Task.ID != 2 || k.Now != 5 || k.NumBusy() != 0 {
+		t.Fatalf("last completion = %+v at %v, %d busy", run, k.Now, k.NumBusy())
+	}
+	for i, want := range []float64{4.5, 2, 5} {
+		if e := k.Schedule().Entries[i]; e.End != want || e.Aborted {
+			t.Errorf("entry %d = %+v, want End %v", i, e, want)
+		}
+	}
+}
+
 func TestKernelPanics(t *testing.T) {
 	pl := platform.NewPlatform(1, 0)
 	mustPanic := func(name string, f func()) {
@@ -127,6 +161,7 @@ func TestKernelPanics(t *testing.T) {
 	k := NewKernel(pl)
 	mustPanic("RunOf idle", func() { k.RunOf(0) })
 	mustPanic("Abort idle", func() { k.Abort(0) })
+	mustPanic("Finish idle", func() { k.Finish(0) })
 	k.Start(0, task(0, 1, 1), false)
 	mustPanic("double start", func() { k.Start(0, task(1, 1, 1), false) })
 }
