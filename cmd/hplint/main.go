@@ -1,12 +1,11 @@
 // Command hplint runs the repository's static-analysis suite
 // (internal/analysis) over every package in the module and exits non-zero
 // on any diagnostic. It is the machine check behind the invariants the
-// paper's guarantees rest on. Its eight analyzers check deterministic
+// paper's guarantees rest on. Its six analyzers check deterministic
 // scheduling code (simdeterminism), float comparison hygiene (floateq),
-// the zero-alloc observer and span guard contract (obsguard), ordered map
-// iteration (maporder) and sleep-free tests (sleepsync); and,
-// flow-sensitively, mutex discipline (lockcheck), error handling along
-// every path (errflow) and span End() coverage on every path (spanend).
+// ordered map iteration (maporder) and sleep-free tests (sleepsync);
+// and, flow-sensitively, mutex discipline (lockcheck) and error handling
+// along every path (errflow).
 // Each analyzer checks one package at a time. DESIGN.md §8 keeps a
 // ledger of what each one costs and has caught.
 //

@@ -367,24 +367,15 @@ func (s *server) writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (s *server) writeJSONCtx(ctx context.Context, w http.ResponseWriter, v any) {
-	sp := obs.SpanFromContext(ctx)
-	var rsp *obs.Span
-	if sp != nil {
-		rsp = sp.StartChild("render")
-	}
+	rsp := obs.SpanFromContext(ctx).StartChild("render")
+	defer rsp.End()
 	body, err := json.MarshalIndent(v, "", " ")
 	if err != nil {
 		jsonError(w, err, http.StatusInternalServerError)
-		if rsp != nil {
-			rsp.End()
-		}
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(body)
-	if rsp != nil {
-		rsp.End()
-	}
 }
 
 // handleRuns serves the recent run summaries as JSON, newest first.
@@ -584,17 +575,12 @@ func (s *server) executeRun(ctx context.Context, form scheduleForm, g *dag.Graph
 	// The compute span covers simulation + validation + bound + summary;
 	// its annotations carry the simulated task/spoliation/makespan
 	// quantities of this very run, read from the run summary.
-	var csp *obs.Span
-	if sp := obs.SpanFromContext(ctx); sp != nil {
-		csp = sp.StartChild("compute")
-	}
-	if csp != nil {
-		csp.Annotate("alg", form.Alg)
-		csp.Annotate("workload", form.Workload)
-		defer csp.End()
-	}
+	csp := obs.SpanFromContext(ctx).StartChild("compute")
+	defer csp.End()
+	csp.Annotate("alg", form.Alg)
+	csp.Annotate("workload", form.Workload)
 	start := time.Now()
-	sched, err := expr.RunDAGObserved(form.Alg, g, pl, s.sched)
+	sched, err := expr.RunDAGObserved(form.Alg, g, pl, s.sched.Run())
 	if err != nil {
 		return nil, zero, err
 	}
@@ -613,13 +599,11 @@ func (s *server) executeRun(ctx context.Context, form scheduleForm, g *dag.Graph
 	sum.N = form.N
 	sum.Elapsed = float64(time.Since(start).Microseconds()) / 1000
 	s.recordRun(sum)
-	if csp != nil {
-		csp.AnnotateInt("sim_tasks_queued", int64(sum.Tasks))
-		csp.AnnotateInt("sim_tasks_completed", int64(sum.Tasks))
-		csp.AnnotateInt("sim_spoliations", int64(sum.Spoliations))
-		csp.AnnotateInt("sim_wasted_ms", int64(sum.WastedWork+0.5))
-		csp.AnnotateInt("sim_makespan_ms", int64(sum.Makespan+0.5))
-	}
+	csp.AnnotateInt("sim_tasks_queued", int64(sum.Tasks))
+	csp.AnnotateInt("sim_tasks_completed", int64(sum.Tasks))
+	csp.AnnotateInt("sim_spoliations", int64(sum.Spoliations))
+	csp.AnnotateInt("sim_wasted_ms", int64(sum.WastedWork+0.5))
+	csp.AnnotateInt("sim_makespan_ms", int64(sum.Makespan+0.5))
 	return sched, sum, nil
 }
 
@@ -715,26 +699,17 @@ func (s *server) runCompare(ctx context.Context, form scheduleForm) ([]obs.RunSu
 // traced request gets a "render" span covering template execution and
 // the response write.
 func (s *server) render(r *http.Request, w http.ResponseWriter, vm viewModel, status int) {
-	sp := obs.SpanFromContext(r.Context())
-	var rsp *obs.Span
-	if sp != nil {
-		rsp = sp.StartChild("render")
-	}
+	rsp := obs.SpanFromContext(r.Context()).StartChild("render")
+	defer rsp.End()
 	var buf bytes.Buffer
 	if err := s.page.Execute(&buf, vm); err != nil {
 		s.log.Error("template render failed", "err", err)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		if rsp != nil {
-			rsp.End()
-		}
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.WriteHeader(status)
 	_, _ = buf.WriteTo(w)
-	if rsp != nil {
-		rsp.End()
-	}
 }
 
 // jsonError writes an error payload with the right status and type.

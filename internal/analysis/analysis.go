@@ -7,22 +7,17 @@
 //     durations — no wall clock, no global random source;
 //   - floateq: no exact float equality where ρ-ties or bound comparisons
 //     need an epsilon or a deterministic tie-break;
-//   - obsguard: observer and span emission in the instrumented packages
-//     must stay behind a nil guard and pass only non-allocating arguments
-//     (the zero-alloc observer guarantee);
 //   - maporder: no scheduling-relevant slice built from a map iteration
 //     without a subsequent sort;
 //   - sleepsync: no time.Sleep-based synchronization in tests;
 //
-// three flow-sensitive analyzers built on the package's CFG (cfg.go),
+// and two flow-sensitive analyzers built on the package's CFG (cfg.go),
 // lockcheck also on its forward-dataflow engine (dataflow.go):
 //
 //   - lockcheck: mutex discipline — fields declared after a mutex in
 //     their struct are accessed only with it held;
 //   - errflow: no dropped or shadowed errors along any path, in every
-//     package of the module;
-//   - spanend: every span the serving layer starts reaches End() on every
-//     path.
+//     package of the module.
 //
 // Every analyzer checks one package at a time; none reads another
 // package's function bodies.
@@ -98,20 +93,18 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// All returns the full suite of eight analyzers in stable order: the five
-// syntactic analyzers, then the three flow-sensitive analyzers built on
+// All returns the full suite of six analyzers in stable order: the four
+// syntactic analyzers, then the two flow-sensitive analyzers built on
 // the CFG (cfg.go). DESIGN.md §8 keeps a ledger of what each one costs,
 // has caught, and catches that no test does.
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism,
 		FloatEq,
-		ObsGuard,
 		MapOrder,
 		SleepSync,
 		LockCheck,
 		ErrFlow,
-		SpanEnd,
 	}
 }
 

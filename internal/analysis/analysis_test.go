@@ -55,12 +55,10 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}{
 		{"simdeterminism", "internal/sim", SimDeterminism},
 		{"floateq", "internal/bounds", FloatEq},
-		{"obsguard", "internal/core", ObsGuard},
 		{"maporder", "internal/sched", MapOrder},
 		{"sleepsync", "internal/sleepfixture", SleepSync},
 		{"lockcheck", "internal/obs", LockCheck},
 		{"errflow", "internal/runtime", ErrFlow},
-		{"spanend", "internal/serve", SpanEnd},
 	}
 	for _, c := range cases {
 		t.Run(c.dir, func(t *testing.T) {

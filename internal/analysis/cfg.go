@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements the intra-procedural control-flow graph the
-// flow-sensitive analyzers (lockcheck, errflow, spanend) run on.
+// flow-sensitive analyzers (lockcheck, errflow) run on.
 // A CFG is built per function body; blocks hold statements (plus the
 // condition expressions that gate their out-edges) in execution order, and
 // edges follow Go's structured control flow: if/else, for, range, switch,

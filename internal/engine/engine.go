@@ -278,23 +278,15 @@ func One[T any](ctx context.Context, p *Pool, fn func(ctx context.Context) (T, e
 // annotated with its index and derived seed. TestRunCellAllocFree checks
 // that this bookkeeping allocates nothing, traced or not.
 func runCell[T any](ctx context.Context, p *Pool, c Cell, out *T, fn func(ctx context.Context, c Cell) (T, error)) error {
-	sp := obs.SpanFromContext(ctx)
-	var csp *obs.Span
-	if sp != nil {
-		csp = sp.StartChild("cell")
-	}
-	if csp != nil {
-		csp.AnnotateInt("cell_index", int64(c.Index))
-		csp.AnnotateInt("cell_seed", c.Seed)
-	}
+	csp := obs.SpanFromContext(ctx).StartChild("cell")
+	defer csp.End()
+	csp.AnnotateInt("cell_index", int64(c.Index))
+	csp.AnnotateInt("cell_seed", c.Seed)
 	select {
 	case p.slots <- struct{}{}:
 	case <-ctx.Done():
 		p.queueDepth.Add(-1)
-		if csp != nil {
-			csp.Annotate("outcome", "cancelled")
-			csp.End()
-		}
+		csp.Annotate("outcome", "cancelled")
 		return ctx.Err()
 	}
 	p.queueDepth.Add(-1)
@@ -305,9 +297,6 @@ func runCell[T any](ctx context.Context, p *Pool, c Cell, out *T, fn func(ctx co
 	p.busy.Add(-1)
 	p.cells.Inc()
 	<-p.slots
-	if csp != nil {
-		csp.End()
-	}
 	return err
 }
 

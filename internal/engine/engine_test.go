@@ -283,3 +283,40 @@ func TestRunCellAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCellCancelledSpan: a traced cell whose context ends while it
+// waits for a pool slot records one "cell" span, annotated as cancelled.
+func TestRunCellCancelledSpan(t *testing.T) {
+	p := NewPool(1, obs.NewRegistry())
+	p.slots <- struct{}{} // the pool's one slot is busy
+	tr := obs.NewTracer(1)
+	root := tr.StartTrace("sweep")
+	ctx, cancel := context.WithCancel(obs.ContextWithSpan(context.Background(), root))
+	cancel()
+	_, err := One(ctx, p, func(context.Context) (int, error) { return 0, nil })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("One = %v, want context.Canceled", err)
+	}
+	<-p.slots
+	id := root.TraceID()
+	root.End()
+	var cells []string
+	for _, sd := range tr.Trace(id).Spans() {
+		if sd.Name != "cell" {
+			continue
+		}
+		outcome := ""
+		for _, a := range sd.Annots[:sd.NAnn] {
+			if a.Key == "outcome" {
+				outcome = a.Str
+			}
+		}
+		cells = append(cells, outcome)
+	}
+	if len(cells) != 1 || cells[0] != "cancelled" {
+		t.Errorf("cell span outcomes %q, want one \"cancelled\"", cells)
+	}
+	if q := p.Stats().QueueDepth; q != 0 {
+		t.Errorf("queue depth %d after the cancelled cell, want 0", q)
+	}
+}

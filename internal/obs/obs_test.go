@@ -11,14 +11,15 @@ import (
 func TestSchedulerMetricsObserver(t *testing.T) {
 	r := NewRegistry()
 	m := NewSchedulerMetrics(r)
+	o := m.Run()
 	task := platform.Task{ID: 3, CPUTime: 10, GPUTime: 2}
 
-	m.TaskQueued(0, task, 1)
-	m.TaskStarted(4, 0, platform.GPU, task, 6, false)
-	m.TaskCompleted(6, 0, platform.GPU, task, 4)
-	m.TaskSpoliated(6, 1, 0, task, 2.5)
-	m.WorkerIdle(6, 1, platform.CPU)
-	m.QueueDepthSample(6, 0)
+	o.TaskQueued(0, task, 1)
+	o.TaskStarted(4, 0, platform.GPU, task, 6, false)
+	o.TaskCompleted(6, 0, platform.GPU, task, 4)
+	o.TaskSpoliated(6, 1, 0, task, 2.5)
+	o.WorkerIdle(6, 1, platform.CPU)
+	o.QueueDepthSample(6, 0)
 
 	if got := m.TasksCompleted.Value(); got != 1 {
 		t.Errorf("completed = %v", got)
@@ -39,10 +40,26 @@ func TestSchedulerMetricsObserver(t *testing.T) {
 		t.Errorf("duration sum = %v, want 2", got)
 	}
 	// A spoliation restart must not record a queue wait.
-	m.TaskQueued(10, task, 1)
-	m.TaskStarted(12, 0, platform.GPU, task, 14, true)
+	o.TaskQueued(10, task, 1)
+	o.TaskStarted(12, 0, platform.GPU, task, 14, true)
 	if got := m.QueueWait.Count(); got != 1 {
 		t.Errorf("restart recorded a queue wait (count=%d)", got)
+	}
+}
+
+// TestSchedulerMetricsConcurrentRuns interleaves two runs of one
+// workload, which reuse task IDs, as hpserve's concurrent requests do.
+// Each run's queue wait is its own: run A waits 2, run B waits 3.
+func TestSchedulerMetricsConcurrentRuns(t *testing.T) {
+	m := NewSchedulerMetrics(NewRegistry())
+	a, b := m.Run(), m.Run()
+	task := platform.Task{ID: 5, CPUTime: 1, GPUTime: 1}
+	a.TaskQueued(10, task, 1)
+	b.TaskQueued(0, task, 1)
+	a.TaskStarted(12, 0, platform.CPU, task, 13, false)
+	b.TaskStarted(3, 0, platform.CPU, task, 4, false)
+	if n, sum := m.QueueWait.Count(), m.QueueWait.Sum(); n != 2 || sum != 5 {
+		t.Errorf("queue waits: %d samples summing %v, want 2 summing 5", n, sum)
 	}
 }
 

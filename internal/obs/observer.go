@@ -22,9 +22,9 @@ import "repro/internal/platform"
 // that a nil Observer costs nothing — zero additional allocations and no
 // dynamic calls (see BenchmarkScheduleIndependent at the repository root).
 //
-// Events arrive in simulated-time order within one run. Implementations
-// used across concurrent runs (e.g. SchedulerMetrics behind a server)
-// must be safe for concurrent use.
+// Events arrive in simulated-time order within one run. State shared
+// across concurrent runs must be safe for concurrent use; per-run state
+// belongs in a per-run Observer (SchedulerMetrics.Run).
 type Observer interface {
 	// TaskQueued fires when a task enters the ready queue (initial fill,
 	// dependency release, or online arrival). depth is the queue length

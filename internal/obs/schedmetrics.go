@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sync"
-
-	"repro/internal/platform"
-)
+import "repro/internal/platform"
 
 // Metric names of the scheduler catalog (see the Observability sections of
 // README.md and DESIGN.md). Declared as constants so dashboards and tests
@@ -20,13 +16,15 @@ const (
 	MetricWorkerIdle     = "hp_worker_idle_events_total"
 )
 
-// SchedulerMetrics is an Observer that feeds a Registry with live
-// counters, gauges and histograms for the quantities the paper's analysis
-// is phrased in: completed tasks, spoliations and their wasted work, queue
-// depth, task durations and queue-wait times. It is safe for concurrent
-// use by several simultaneous runs; the queue-wait histogram is then an
-// aggregate over all of them (task IDs of concurrent runs may collide, in
-// which case a wait sample is attributed to the latest queue entry).
+// SchedulerMetrics feeds a Registry with live counters, gauges and
+// histograms for the quantities the paper's analysis is phrased in:
+// completed tasks, spoliations and their wasted work, queue depth, task
+// durations and queue-wait times. Times are in simulated milliseconds,
+// the unit of every simulated run; a live run's observer times are
+// seconds, so its events fed here would read 1000× small. The series are
+// shared and safe for concurrent use; each run observes through its own
+// Run(), which keeps that run's queue-entry times, so concurrent runs
+// reusing the same task IDs never mix up their queue waits.
 type SchedulerMetrics struct {
 	TasksQueued    *Counter
 	TasksCompleted *Counter
@@ -42,15 +40,11 @@ type SchedulerMetrics struct {
 	// through CounterVec.With there would put a lock, a map lookup, and a
 	// first-use allocation on the scheduler's hot path.
 	idleByKind [platform.NumKinds]*Counter
-
-	mu       sync.Mutex
-	queuedAt map[int]float64
 }
 
-// NewSchedulerMetrics registers the scheduler metric catalog in r and
-// returns the Observer feeding it. Histogram buckets span the simulated
-// durations of the paper's workloads (sub-millisecond kernels up to
-// multi-second makespans).
+// NewSchedulerMetrics registers the scheduler metric catalog in r.
+// Histogram buckets span the simulated durations of the paper's
+// workloads (sub-millisecond kernels up to multi-second makespans).
 func NewSchedulerMetrics(r *Registry) *SchedulerMetrics {
 	buckets := ExpBuckets(0.5, 2, 16) // 0.5 ms .. ~16 s
 	m := &SchedulerMetrics{
@@ -62,7 +56,6 @@ func NewSchedulerMetrics(r *Registry) *SchedulerMetrics {
 		TaskDuration:   r.Histogram(MetricTaskDuration, "Successful run durations in simulated milliseconds.", buckets),
 		QueueWait:      r.Histogram(MetricQueueWait, "Simulated milliseconds tasks spent in the ready queue before starting.", buckets),
 		IdleEvents:     r.CounterVec(MetricWorkerIdle, "Worker-idle observations at scheduling rounds, by resource class.", "class"),
-		queuedAt:       map[int]float64{},
 	}
 	for k := range m.idleByKind {
 		m.idleByKind[k] = m.IdleEvents.With(platform.Kind(k).String())
@@ -70,44 +63,50 @@ func NewSchedulerMetrics(r *Registry) *SchedulerMetrics {
 	return m
 }
 
-func (m *SchedulerMetrics) TaskQueued(now float64, t platform.Task, depth int) {
-	m.TasksQueued.Inc()
-	m.QueueDepth.Set(float64(depth))
-	m.mu.Lock()
-	m.queuedAt[t.ID] = now
-	m.mu.Unlock()
+// Run returns the Observer of one run, feeding m's series. It keeps the
+// run's queue-entry times by task ID and, like the run's events, is used
+// from one goroutine; call Run again for every run.
+func (m *SchedulerMetrics) Run() Observer {
+	return &runMetrics{m: m, queuedAt: map[int]float64{}}
 }
 
-func (m *SchedulerMetrics) TaskStarted(now float64, _ int, _ platform.Kind, t platform.Task, _ float64, spoliation bool) {
+// runMetrics is the Observer Run returns.
+type runMetrics struct {
+	m        *SchedulerMetrics
+	queuedAt map[int]float64
+}
+
+func (r *runMetrics) TaskQueued(now float64, t platform.Task, depth int) {
+	r.m.TasksQueued.Inc()
+	r.m.QueueDepth.Set(float64(depth))
+	r.queuedAt[t.ID] = now
+}
+
+func (r *runMetrics) TaskStarted(now float64, _ int, _ platform.Kind, t platform.Task, _ float64, spoliation bool) {
 	if spoliation {
 		// Restarts never pass through the queue.
 		return
 	}
-	m.mu.Lock()
-	at, ok := m.queuedAt[t.ID]
-	if ok {
-		delete(m.queuedAt, t.ID)
-	}
-	m.mu.Unlock()
-	if ok {
-		m.QueueWait.Observe(now - at)
+	if at, ok := r.queuedAt[t.ID]; ok {
+		delete(r.queuedAt, t.ID)
+		r.m.QueueWait.Observe(now - at)
 	}
 }
 
-func (m *SchedulerMetrics) TaskSpoliated(_ float64, _, _ int, _ platform.Task, wasted float64) {
-	m.Spoliations.Inc()
-	m.WastedWork.Add(wasted)
+func (r *runMetrics) TaskSpoliated(_ float64, _, _ int, _ platform.Task, wasted float64) {
+	r.m.Spoliations.Inc()
+	r.m.WastedWork.Add(wasted)
 }
 
-func (m *SchedulerMetrics) TaskCompleted(now float64, _ int, _ platform.Kind, _ platform.Task, start float64) {
-	m.TasksCompleted.Inc()
-	m.TaskDuration.Observe(now - start)
+func (r *runMetrics) TaskCompleted(now float64, _ int, _ platform.Kind, _ platform.Task, start float64) {
+	r.m.TasksCompleted.Inc()
+	r.m.TaskDuration.Observe(now - start)
 }
 
-func (m *SchedulerMetrics) WorkerIdle(_ float64, _ int, kind platform.Kind) {
-	m.idleByKind[kind].Inc()
+func (r *runMetrics) WorkerIdle(_ float64, _ int, kind platform.Kind) {
+	r.m.idleByKind[kind].Inc()
 }
 
-func (m *SchedulerMetrics) QueueDepthSample(_ float64, depth int) {
-	m.QueueDepth.Set(float64(depth))
+func (r *runMetrics) QueueDepthSample(_ float64, depth int) {
+	r.m.QueueDepth.Set(float64(depth))
 }

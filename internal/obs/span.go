@@ -18,10 +18,11 @@ import (
 //     steady state — Spans are drawn from a sync.Pool and finished span
 //     records append into a capacity-reused slice (TestSpanCycleAllocFree
 //     checks it, and BenchmarkSpanStartEnd gates 0 allocs/op);
-//   - emission sites in library code are nil-guarded (`if sp != nil`),
-//     so an untraced call path pays one context lookup and nothing else
-//     (the obsguard analyzer enforces this in internal/engine and
-//     internal/serve, and spanend checks every started span is ended);
+//   - a nil *Span is an untraced request: its methods do nothing and
+//     StartChild returns nil, so a call site starts a child and defers
+//     its End without a guard, and an untraced call path pays one
+//     context lookup and nothing else (serve's TestSpanSitesAllocs
+//     measures the admission and cache paths, traced and untraced);
 //   - finished traces are retained in a bounded ring, served by hpserve
 //     at /traces (slowest-first list) and /trace/{id} (span tree), and
 //     linked from HDR latency buckets through exemplar trace IDs.
@@ -127,9 +128,9 @@ func (t *TraceData) Duration() time.Duration {
 
 // Span is one live, timed operation within a trace. Spans are pooled:
 // after End the Span object is reused, so callers must not retain or
-// touch a Span after ending it. A nil *Span is not usable — library call
-// sites guard emission with `if sp != nil`, which is also what keeps the
-// untraced path free.
+// touch a Span after ending it. A nil *Span stands for an untraced
+// request: Annotate, AnnotateInt and End do nothing, StartChild returns
+// nil and TraceID returns 0.
 type Span struct {
 	tracer *Tracer
 	trace  *TraceData
@@ -141,13 +142,18 @@ type Span struct {
 	nann   int
 }
 
-// TraceID returns the owning trace's ID.
-func (s *Span) TraceID() uint64 { return s.trace.ID }
+// TraceID returns the owning trace's ID (0 for a nil span).
+func (s *Span) TraceID() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.trace.ID
+}
 
 // Annotate attaches a key=value string pair (dropped beyond the
 // per-span annotation bound).
 func (s *Span) Annotate(key, value string) {
-	if s.nann < maxAnnotations {
+	if s != nil && s.nann < maxAnnotations {
 		s.annots[s.nann] = Annotation{Key: key, Str: value}
 		s.nann++
 	}
@@ -155,15 +161,19 @@ func (s *Span) Annotate(key, value string) {
 
 // AnnotateInt attaches a key=value integer pair without allocating.
 func (s *Span) AnnotateInt(key string, value int64) {
-	if s.nann < maxAnnotations {
+	if s != nil && s.nann < maxAnnotations {
 		s.annots[s.nann] = Annotation{Key: key, Int: value, IsInt: true}
 		s.nann++
 	}
 }
 
-// StartChild starts a sub-span of s. The child must be ended by the
-// caller; it may outlive s (its record lands in the same trace).
+// StartChild starts a sub-span of s, or returns nil when s is nil. The
+// caller ends the child, by `defer child.End()` right after this call;
+// it may outlive s (its record lands in the same trace).
 func (s *Span) StartChild(name string) *Span {
+	if s == nil {
+		return nil
+	}
 	child := s.tracer.getSpan()
 	child.tracer = s.tracer
 	child.trace = s.trace
@@ -179,8 +189,11 @@ func (s *Span) StartChild(name string) *Span {
 // span object to the pool, and — for a root span — moves the trace into
 // the tracer's ring and fires the OnFinish hook. It returns the span's
 // duration so call sites can feed latency metrics without re-reading
-// the clock.
+// the clock; a nil span returns 0.
 func (s *Span) End() time.Duration {
+	if s == nil {
+		return 0
+	}
 	end := time.Now().UnixNano()
 	td, tr, root := s.trace, s.tracer, s.parent == 0
 	dur := end - s.start
@@ -336,7 +349,8 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 }
 
 // SpanFromContext returns the active span, or nil when the request is
-// untraced. Callers must nil-guard everything they do with the result.
+// untraced. The result may be used without a guard: every Span method
+// accepts a nil receiver.
 func SpanFromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return sp

@@ -199,6 +199,24 @@ func TestSpanContext(t *testing.T) {
 	sp.End()
 }
 
+// TestNilSpan: an untraced request's span is nil, and every method
+// accepts it, so call sites start, annotate and end spans unguarded.
+func TestNilSpan(t *testing.T) {
+	sp := SpanFromContext(context.Background())
+	child := sp.StartChild("c")
+	if child != nil {
+		t.Fatalf("a nil span started child %v", child)
+	}
+	child.Annotate("outcome", "hit")
+	child.AnnotateInt("cell_index", 3)
+	if d := child.End(); d != 0 {
+		t.Errorf("nil span End = %v, want 0", d)
+	}
+	if id := sp.TraceID(); id != 0 {
+		t.Errorf("nil span TraceID = %d, want 0", id)
+	}
+}
+
 func TestSpanAnnotationBound(t *testing.T) {
 	tr := NewTracer(1)
 	sp := tr.StartTrace("r")

@@ -456,13 +456,14 @@ func TestCalibrateClock(t *testing.T) {
 // depthSamples counts the queue-depth samples on top of the scheduler
 // metrics, whose depth gauge keeps only the last one.
 type depthSamples struct {
+	obs.Observer
 	*obs.SchedulerMetrics
 	n int
 }
 
 func (d *depthSamples) QueueDepthSample(now float64, depth int) {
 	d.n++
-	d.SchedulerMetrics.QueueDepthSample(now, depth)
+	d.Observer.QueueDepthSample(now, depth)
 }
 
 // TestRunObserver checks the live executor emits the same observer event
@@ -474,7 +475,8 @@ func TestRunObserver(t *testing.T) {
 	g := NewGraph()
 	g.Add(sleepTask("a", 200*time.Millisecond, 5*time.Millisecond))
 	g.Add(sleepTask("b", 200*time.Millisecond, 5*time.Millisecond))
-	so := &depthSamples{SchedulerMetrics: obs.NewSchedulerMetrics(obs.NewRegistry())}
+	m := obs.NewSchedulerMetrics(obs.NewRegistry())
+	so := &depthSamples{Observer: m.Run(), SchedulerMetrics: m}
 	rep, err := Run(g, Config{
 		CPUWorkers: 1, GPUWorkers: 1,
 		Observer: so,

@@ -84,18 +84,12 @@ func (a *Admission) QueueDepth() int { return cap(a.queue) }
 // shed, deadline) — the span that answers "was this slow request stuck
 // behind the admission valve?".
 func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
-	sp := obs.SpanFromContext(ctx)
-	var asp *obs.Span
-	if sp != nil {
-		asp = sp.StartChild("admission")
-	}
+	asp := obs.SpanFromContext(ctx).StartChild("admission")
+	defer asp.End()
 	// Fast path: a slot is free, skip the queue entirely.
 	select {
 	case a.slots <- struct{}{}:
-		if asp != nil {
-			asp.Annotate("outcome", "fast_path")
-			asp.End()
-		}
+		asp.Annotate("outcome", "fast_path")
 		return a.release, nil
 	default:
 	}
@@ -103,10 +97,7 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	case a.queue <- struct{}{}:
 	default:
 		a.shed.Inc()
-		if asp != nil {
-			asp.Annotate("outcome", "shed")
-			asp.End()
-		}
+		asp.Annotate("outcome", "shed")
 		return nil, ErrQueueFull
 	}
 	a.queued.Add(1)
@@ -117,17 +108,11 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case a.slots <- struct{}{}:
 		leave()
-		if asp != nil {
-			asp.Annotate("outcome", "queued")
-			asp.End()
-		}
+		asp.Annotate("outcome", "queued")
 		return a.release, nil
 	case <-ctx.Done():
 		leave()
-		if asp != nil {
-			asp.Annotate("outcome", "deadline")
-			asp.End()
-		}
+		asp.Annotate("outcome", "deadline")
 		return nil, ctx.Err()
 	}
 }

@@ -142,21 +142,15 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, compute func() (V, error)) (V,
 // starts nest under it (this is what keeps a trace's phase durations
 // summing to the request latency instead of double counting).
 func (c *Cache[V]) DoCtx(ctx context.Context, k Key, compute func(context.Context) (V, error)) (V, Outcome, error) {
-	sp := obs.SpanFromContext(ctx)
-	var csp *obs.Span
-	if sp != nil {
-		csp = sp.StartChild("cache")
-	}
+	csp := obs.SpanFromContext(ctx).StartChild("cache")
+	defer csp.End()
 	c.mu.Lock()
 	if el, ok := c.items[k]; ok {
 		c.ll.MoveToFront(el)
 		v := el.Value.(*centry[V]).val
 		c.hits.Inc()
 		c.mu.Unlock()
-		if csp != nil {
-			csp.Annotate("outcome", "hit")
-			csp.End()
-		}
+		csp.Annotate("outcome", "hit")
 		return v, Hit, nil
 	}
 	if cl, ok := c.calls[k]; ok {
@@ -167,12 +161,9 @@ func (c *Cache[V]) DoCtx(ctx context.Context, k Key, compute func(context.Contex
 			c.waiting--
 			c.mu.Unlock()
 		}()
-		if csp != nil {
-			csp.Annotate("outcome", "coalesced")
-			defer csp.End()
-			wsp := csp.StartChild("coalesce")
-			defer wsp.End()
-		}
+		csp.Annotate("outcome", "coalesced")
+		wsp := csp.StartChild("coalesce")
+		defer wsp.End()
 		var zero V
 		select {
 		case <-cl.done:
@@ -190,10 +181,9 @@ func (c *Cache[V]) DoCtx(ctx context.Context, k Key, compute func(context.Contex
 	c.calls[k] = cl
 	c.mu.Unlock()
 
+	csp.Annotate("outcome", "miss")
 	cctx := ctx
 	if csp != nil {
-		csp.Annotate("outcome", "miss")
-		defer csp.End()
 		cctx = obs.ContextWithSpan(ctx, csp)
 	}
 	cl.val, cl.err = compute(cctx)

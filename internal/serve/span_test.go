@@ -2,6 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/obs"
@@ -23,35 +26,137 @@ func collectOutcomes(td *obs.TraceData) map[string]string {
 	return out
 }
 
+// TestAdmissionSpanOutcomes drives one admission controller (one slot,
+// one queue place) through all four outcomes on traced contexts and
+// reads each request's admission span from its finished trace.
 func TestAdmissionSpanOutcomes(t *testing.T) {
 	tr := obs.NewTracer(8)
-	a := NewAdmission(1, 0, nil)
+	a := NewAdmission(1, 1, nil)
+	start := func(name string) (*obs.Span, context.Context) {
+		root := tr.StartTrace(name)
+		return root, obs.ContextWithSpan(context.Background(), root)
+	}
+	outcome := func(root *obs.Span) string {
+		id := root.TraceID()
+		root.End()
+		return collectOutcomes(tr.Trace(id))["admission"]
+	}
 
-	// Fast path.
-	root := tr.StartTrace("req")
-	ctx := obs.ContextWithSpan(context.Background(), root)
+	// Fast path: the slot is free.
+	fast, ctx := start("fast")
 	release, err := a.Acquire(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shed: slot busy, queue size 0.
-	root2 := tr.StartTrace("req2")
-	ctx2 := obs.ContextWithSpan(context.Background(), root2)
-	if _, err := a.Acquire(ctx2); err != ErrQueueFull {
+	// Queued: the slot is busy, so the waiter parks in the queue and is
+	// admitted when the slot frees.
+	queued, qctx := start("queued")
+	admitted := make(chan func(), 1)
+	go func() {
+		r, err := a.Acquire(qctx)
+		if err != nil {
+			t.Error(err)
+		}
+		admitted <- r
+	}()
+	for a.queued.Value() != 1 {
+		runtime.Gosched()
+	}
+	// Shed: the slot is busy and the queue is full.
+	shed, ctx := start("shed")
+	if _, err := a.Acquire(ctx); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want shed, got %v", err)
 	}
-	root2.End()
 	release()
-	root.End()
-
-	got1 := collectOutcomes(tr.Recent()[1]) // req finished last? Recent is newest-first
-	got2 := collectOutcomes(tr.Recent()[0])
-	// root2 ended before root, so Recent()[0] is root's trace.
-	if got2["admission"] != "fast_path" {
-		t.Errorf("fast-path trace outcomes: %v", got2)
+	release = <-admitted
+	// Deadline: the waiter's context ends while it waits in the queue.
+	deadline, ctx := start("deadline")
+	ctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := a.Acquire(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if got1["admission"] != "shed" {
-		t.Errorf("shed trace outcomes: %v", got1)
+	release()
+
+	for _, c := range []struct {
+		root *obs.Span
+		want string
+	}{{fast, "fast_path"}, {queued, "queued"}, {shed, "shed"}, {deadline, "deadline"}} {
+		if got := outcome(c.root); got != c.want {
+			t.Errorf("admission outcome %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestSpanSitesAllocs holds the admission and cache span sites to an
+// allocation budget per call, on an untraced context and on one traced
+// past the span retention cap, as obs.TestSpanCycleAllocFree does: the
+// spans come from the tracer's pool and every annotation is a constant,
+// so tracing adds nothing. Acquire's fast path allocates its release
+// closure; its shed and deadline paths and a cache hit allocate nothing.
+func TestSpanSitesAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	root := obs.NewTracer(1).StartTrace("steady")
+	for i := 0; i < 5000; i++ {
+		root.StartChild("warm").End()
+	}
+	free := NewAdmission(1, 0, nil)
+	full := NewAdmission(1, 0, nil) // its slot is held: a request sheds
+	waiting := NewAdmission(1, 1, nil)
+	for _, a := range []*Admission{full, waiting} {
+		if _, err := a.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewCache[int](1, nil)
+	var k Key
+	compute := func(context.Context) (int, error) { return 1, nil }
+	if _, _, err := c.DoCtx(context.Background(), k, compute); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"untraced", context.Background()},
+		{"traced", obs.ContextWithSpan(context.Background(), root)},
+	} {
+		ended, cancel := context.WithCancel(tc.ctx)
+		cancel()
+		for _, p := range []struct {
+			path   string
+			budget float64
+			want   error
+			call   func() error
+		}{
+			{"fast", 1, nil, func() error {
+				release, err := free.Acquire(tc.ctx)
+				release()
+				return err
+			}},
+			{"shed", 0, ErrQueueFull, func() error {
+				_, err := full.Acquire(tc.ctx)
+				return err
+			}},
+			{"deadline", 0, context.Canceled, func() error {
+				_, err := waiting.Acquire(ended)
+				return err
+			}},
+			{"hit", 0, nil, func() error {
+				_, _, err := c.DoCtx(tc.ctx, k, compute)
+				return err
+			}},
+		} {
+			var err error
+			n := testing.AllocsPerRun(1000, func() { err = p.call() })
+			if !errors.Is(err, p.want) {
+				t.Fatalf("%s %s: err %v, want %v", tc.name, p.path, err, p.want)
+			}
+			if n > p.budget {
+				t.Errorf("%s %s: %v allocations per call, budget %v", tc.name, p.path, n, p.budget)
+			}
+		}
 	}
 }
 

@@ -102,22 +102,29 @@ func (f *Flow) NumData() int { return len(f.lastWriter) }
 //     that write (WAR).
 //
 // Duplicate and conflicting accesses to the same handle are merged with
-// the strongest mode.
+// the strongest mode, at the handle's first position, and edges are
+// added in declaration order, so every build of a flow gives the same
+// Preds and Succs order (which sets the release order of ready tasks).
 func (f *Flow) Submit(t platform.Task, accesses ...Access) (int, error) {
-	merged := make(map[Handle]AccessMode, len(accesses))
+	merged := make([]Access, 0, len(accesses))
 	for _, a := range accesses {
 		if int(a.Handle) < 0 || int(a.Handle) >= len(f.lastWriter) {
 			return 0, fmt.Errorf("stf: task %q uses unregistered handle %d", t.Name, a.Handle)
 		}
-		if cur, ok := merged[a.Handle]; !ok {
-			merged[a.Handle] = a.Mode
-		} else if cur != a.Mode {
-			merged[a.Handle] = ReadWrite
+		i := 0
+		for i < len(merged) && merged[i].Handle != a.Handle {
+			i++
+		}
+		if i == len(merged) {
+			merged = append(merged, a)
+		} else if merged[i].Mode != a.Mode {
+			merged[i].Mode = ReadWrite
 		}
 	}
 	id := f.g.AddTask(t)
-	for h, mode := range merged {
-		switch mode {
+	for _, a := range merged {
+		h := a.Handle
+		switch a.Mode {
 		case Read:
 			if w := f.lastWriter[h]; w >= 0 {
 				f.g.AddEdge(w, id)

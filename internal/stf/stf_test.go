@@ -1,6 +1,7 @@
 package stf
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -143,6 +144,31 @@ func TestCholeskySTFMatchesHandBuilt(t *testing.T) {
 		}
 		if err := rSTF.Schedule.Validate(gSTF.Tasks(), gSTF); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCholeskySTFDeterministic rebuilds the STF Cholesky graph and
+// requires the same edge order every time: the order of Preds and Succs
+// sets the ready tracker's release order, and with it the queue order
+// among tasks of equal ρ.
+func TestCholeskySTFDeterministic(t *testing.T) {
+	for _, N := range []int{2, 6, 10} {
+		first, err := CholeskySTF(N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 20; rep++ {
+			g, err := CholeskySTF(N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := 0; id < first.Len(); id++ {
+				if !slices.Equal(g.Preds(id), first.Preds(id)) || !slices.Equal(g.Succs(id), first.Succs(id)) {
+					t.Fatalf("N=%d rebuild %d: task %d has preds %v succs %v, first build %v %v",
+						N, rep, id, g.Preds(id), g.Succs(id), first.Preds(id), first.Succs(id))
+				}
+			}
 		}
 	}
 }
